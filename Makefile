@@ -15,12 +15,15 @@ test:
 
 # check is the tier-1 gate: vet, build, and the full test suite under the
 # race detector (includes the fault-injection and crash-point fuzzing
-# suites), plus the whole-stack crash harness sample and the
+# suites), the two examples that exit non-zero when their invariant
+# breaks, plus the whole-stack crash harness sample and the
 # machine-readable report smoke check. Run it before sending a change.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) run ./examples/atomiccommit
+	$(GO) run ./examples/filecopy
 	$(MAKE) fuzz-crash
 	$(MAKE) bench-json
 	$(MAKE) bench-scale
@@ -32,8 +35,8 @@ check:
 
 # fuzz-crash runs the whole-stack crash harness (internal/crashcheck) in
 # short mode: for every engine x SHARE-mode cell (innodb DWB-on/SHARE,
-# innodb+extended-cache, couch copy/SHARE, pgmini FPW-on/FPW-SHARE) it
-# power-cuts the stack at a
+# innodb+extended-cache, couch copy/SHARE, pgmini FPW-on/FPW-SHARE,
+# sqlmini SHARE) it power-cuts the stack at a
 # CRASHCHECK_SEED-sampled set of program/erase boundaries, reopens, and
 # checks the durability oracle (no committed write lost, no uncommitted
 # write surfaced). The seeded NAND fault-plan runs (seeds 7, 11, 13 for

@@ -6,8 +6,8 @@
 //
 // Transient transport failures (connection reset, server restart) are
 // retried with bounded exponential backoff — redial, re-USE, replay —
-// mirroring internal/stress; recovered retries are counted separately
-// from errors.
+// by the same wire client internal/stress uses (internal/client);
+// recovered retries are counted separately from errors.
 //
 // Usage:
 //
@@ -16,22 +16,15 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"strings"
 	"sync"
 	"time"
-)
 
-// Bounded retry budget for transient transport errors, matching
-// internal/stress: base 2ms doubling per attempt plus seeded jitter.
-const (
-	retryMax  = 3
-	retryBase = 2 * time.Millisecond
+	"share/internal/client"
 )
 
 type result struct {
@@ -39,94 +32,6 @@ type result struct {
 	ops     int
 	errs    int
 	retries int
-}
-
-// rconn is a retrying connection: redial + re-USE + replay on transport
-// errors, up to retryMax attempts with seeded jittered backoff.
-type rconn struct {
-	addr    string
-	tenant  string // re-issued as USE after every redial, once set
-	conn    net.Conn
-	r       *bufio.Reader
-	rng     *rand.Rand // backoff jitter only
-	retries *int
-}
-
-func (c *rconn) redial() error {
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return err
-	}
-	r := bufio.NewReader(conn)
-	if c.tenant != "" {
-		if _, err := fmt.Fprintf(conn, "USE %s\n", c.tenant); err != nil {
-			conn.Close()
-			return err
-		}
-		resp, err := r.ReadString('\n')
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		if strings.TrimRight(resp, "\n") != "OK" {
-			conn.Close()
-			return fmt.Errorf("re-USE %s: %s", c.tenant, resp)
-		}
-	}
-	c.conn, c.r = conn, r
-	return nil
-}
-
-func (c *rconn) roundTrip(line string) (string, error) {
-	if _, err := fmt.Fprintf(c.conn, "%s\n", line); err != nil {
-		return "", err
-	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(resp, "\n"), nil
-}
-
-// do sends one command and reads its reply, retrying transport errors.
-// Server-level ERR replies pass through; only the transport is retried.
-// When the budget is exhausted the transport error is rendered as an ERR
-// line so the caller's error accounting catches it.
-func (c *rconn) do(line string) string {
-	for attempt := 0; ; attempt++ {
-		if c.conn == nil {
-			if err := c.redial(); err != nil {
-				if attempt >= retryMax {
-					return "ERR " + err.Error()
-				}
-				c.backoff(attempt)
-				continue
-			}
-		}
-		resp, err := c.roundTrip(line)
-		if err == nil {
-			return resp
-		}
-		c.conn.Close()
-		c.conn = nil
-		if attempt >= retryMax {
-			return "ERR " + err.Error()
-		}
-		c.backoff(attempt)
-	}
-}
-
-func (c *rconn) backoff(attempt int) {
-	*c.retries++
-	d := retryBase << attempt
-	d += time.Duration(c.rng.Int63n(int64(retryBase)))
-	time.Sleep(d)
-}
-
-func (c *rconn) close() {
-	if c.conn != nil {
-		c.conn.Close()
-	}
 }
 
 func main() {
@@ -149,18 +54,26 @@ func main() {
 			defer wg.Done()
 			tenant := fmt.Sprintf("tenant%d", cl%*tenants)
 			res := result{tenant: tenant}
-			defer func() { results <- res }()
-			c := &rconn{
-				addr:    *addr,
-				rng:     rand.New(rand.NewSource(*seed + int64(cl) + 1<<32)),
-				retries: &res.retries,
+			c := client.New(*addr, *seed+int64(cl)+1<<32)
+			defer func() {
+				c.Close()
+				res.retries = c.Retries
+				results <- res
+			}()
+			// An exhausted retry answers like a server ERR: it counts as
+			// an error, not an op.
+			do := func(line string) string {
+				resp, ok := c.Do(line)
+				if !ok {
+					return "ERR transport retries exhausted"
+				}
+				return resp
 			}
-			defer c.close()
-			if resp := c.do("USE " + tenant); resp != "OK" {
+			if resp := do("USE " + tenant); resp != "OK" {
 				res.errs++
 				return
 			}
-			c.tenant = tenant // redials re-select the tenant from here on
+			c.Tenant = tenant // redials re-select the tenant from here on
 			rng := rand.New(rand.NewSource(*seed + int64(cl)))
 			value := strings.Repeat("x", *valLen)
 			for i := 0; i < *ops; i++ {
@@ -168,11 +81,11 @@ func main() {
 				var resp string
 				switch rng.Intn(10) {
 				case 0:
-					resp = c.do("COMMIT")
+					resp = do("COMMIT")
 				case 1, 2, 3:
-					resp = c.do("GET " + key)
+					resp = do("GET " + key)
 				default:
-					resp = c.do(fmt.Sprintf("SET %s %s", key, value))
+					resp = do(fmt.Sprintf("SET %s %s", key, value))
 				}
 				if strings.HasPrefix(resp, "ERR") {
 					res.errs++
@@ -180,8 +93,8 @@ func main() {
 					res.ops++
 				}
 			}
-			c.do("COMMIT")
-			c.do("QUIT")
+			do("COMMIT")
+			do("QUIT")
 		}(cl)
 	}
 	wg.Wait()

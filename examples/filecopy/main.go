@@ -11,7 +11,6 @@ import (
 	"math/rand"
 
 	"share"
-	"share/internal/core"
 	"share/internal/fsim"
 )
 
@@ -42,7 +41,7 @@ func main() {
 
 	before := dev.Stats()
 	beforeTime := t.Now()
-	dst, err := core.CopyFile(t, fs, "big.copy", "big.dat")
+	dst, err := fs.Copy(t, "big.copy", "big.dat")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,6 +52,10 @@ func main() {
 		after.FTL.HostWrites-before.FTL.HostWrites,
 		after.FTL.SharePairs-before.FTL.SharePairs,
 		float64(t.Now()-beforeTime)/1e6)
+
+	if n := after.FTL.HostWrites - before.FTL.HostWrites; n != 0 {
+		log.Fatalf("zero-copy copy wrote %d data pages", n)
+	}
 
 	// Verify, then prove the copies are independent: overwriting the
 	// original must not change the copy (copy-on-write at the FTL).

@@ -3,7 +3,7 @@ package couch
 import (
 	"sync/atomic"
 
-	"share/internal/core"
+	"share/internal/fsim"
 	"share/internal/sim"
 	"share/internal/ssd"
 )
@@ -90,32 +90,9 @@ func (s *Store) compact(t *sim.Task) (CompactStats, error) {
 				return err
 			}
 			bytes := int64(ref.pages) * int64(s.page)
-			se, err := s.file.MapRange(ref.off, bytes)
-			if err != nil {
+			var err error
+			if pairs, err = fsim.AppendSharePairs(pairs, dst, dstEOF, s.file, ref.off, bytes); err != nil {
 				return err
-			}
-			de, err := dst.MapRange(dstEOF, bytes)
-			if err != nil {
-				return err
-			}
-			di, si := 0, 0
-			var dOff, sOff uint32
-			for di < len(de) && si < len(se) {
-				run := de[di].Len - dOff
-				if r := se[si].Len - sOff; r < run {
-					run = r
-				}
-				pairs = append(pairs, ssd.Pair{Dst: de[di].Start + dOff, Src: se[si].Start + sOff, Len: run})
-				dOff += run
-				sOff += run
-				if dOff == de[di].Len {
-					di++
-					dOff = 0
-				}
-				if sOff == se[si].Len {
-					si++
-					sOff = 0
-				}
 			}
 			k := append([]byte(nil), key...)
 			entries = append(entries, entryKV{key: k, ref: docRef{off: dstEOF, pages: ref.pages, vlen: ref.vlen}})
@@ -126,7 +103,7 @@ func (s *Store) compact(t *sim.Task) (CompactStats, error) {
 		}); err != nil {
 			return cs, err
 		}
-		if err := core.ShareAll(t, s.fs.Device(), pairs); err != nil {
+		if err := s.fs.Share(t, pairs); err != nil {
 			return cs, err
 		}
 	} else {

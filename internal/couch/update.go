@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"share/internal/core"
+	"share/internal/fsim"
 	"share/internal/sim"
 	"share/internal/ssd"
 )
@@ -283,36 +283,14 @@ func (s *Store) applyShares(t *sim.Task) error {
 	dev := s.fs.Device()
 	var pairs []ssd.Pair
 	for _, sh := range s.shares {
-		dst, err := s.file.MapRange(sh.oldOff, int64(sh.pages)*int64(s.page))
-		if err != nil {
+		n := int64(sh.pages) * int64(s.page)
+		var err error
+		if pairs, err = fsim.AppendSharePairs(pairs, s.file, sh.oldOff, s.file, sh.newOff, n); err != nil {
 			return err
-		}
-		src, err := s.file.MapRange(sh.newOff, int64(sh.pages)*int64(s.page))
-		if err != nil {
-			return err
-		}
-		di, si := 0, 0
-		var dOff, sOff uint32
-		for di < len(dst) && si < len(src) {
-			run := dst[di].Len - dOff
-			if r := src[si].Len - sOff; r < run {
-				run = r
-			}
-			pairs = append(pairs, ssd.Pair{Dst: dst[di].Start + dOff, Src: src[si].Start + sOff, Len: run})
-			dOff += run
-			sOff += run
-			if dOff == dst[di].Len {
-				di++
-				dOff = 0
-			}
-			if sOff == src[si].Len {
-				si++
-				sOff = 0
-			}
 		}
 		atomic.AddInt64(&s.st.SharePairs, 1)
 	}
-	if err := core.ShareAll(t, dev, pairs); err != nil {
+	if err := s.fs.Share(t, pairs); err != nil {
 		return err
 	}
 	// The tail copies are now redundant: the old locations carry the new

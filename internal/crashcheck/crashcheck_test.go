@@ -16,6 +16,7 @@ const (
 	pgTxns          = 24
 	couchTxns       = 26
 	couchPatrolTxns = 14
+	sqlTxns         = 24
 )
 
 func TestCrashMatrixInnoDBDWB(t *testing.T) {
@@ -40,6 +41,14 @@ func TestCrashMatrixCouchCopy(t *testing.T) {
 
 func TestCrashMatrixCouchShare(t *testing.T) {
 	Matrix(t, "couch/share", func() (Stack, error) { return NewCouch(true) }, couchTxns)
+}
+
+// TestCrashMatrixSqlShare power-cuts sqlmini's journal-off SHARE commit:
+// a transaction's pages are staged, synced and remapped home in one SHARE
+// batch, so every cut must leave each transaction wholly present or
+// wholly absent with no journal to fall back on.
+func TestCrashMatrixSqlShare(t *testing.T) {
+	Matrix(t, "sqlmini/share", NewSqlShare, sqlTxns)
 }
 
 // TestCrashMatrixCouchPatrol power-cuts inside patrol-scrub refresh windows:

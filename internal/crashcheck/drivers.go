@@ -10,6 +10,7 @@ import (
 	"share/internal/nand"
 	"share/internal/pgmini"
 	"share/internal/sim"
+	"share/internal/sqlmini"
 	"share/internal/ssd"
 )
 
@@ -402,6 +403,129 @@ func (s *couchStack) Verify(committed, attempted int) error {
 		got[string(couchKey(i))] = string(v)
 	}
 	return diffStates(got, s.couchModel(committed), s.couchModel(attempted))
+}
+
+// ---------------------------------------------------------------------------
+// sqlmini
+
+// sqlKeys rows of ~200 bytes spread over several 1 KB btree pages, so a
+// transaction's dirty set (leaves, their parent, the meta page) makes a
+// multi-page SHARE batch.
+const sqlKeys = 17
+
+type sqlStack struct {
+	task *sim.Task
+	data *ssd.Device
+	db   *sqlmini.DB
+	cfg  sqlmini.Config
+}
+
+// NewSqlShare builds a sqlmini stack in journal-off SHARE mode — stage
+// once, sync, remap — with 1 KB engine pages (two device pages each) and
+// sqlKeys rows preloaded in one transaction.
+func NewSqlShare() (Stack, error) {
+	data, err := newDataDevice("cc-sql")
+	if err != nil {
+		return nil, err
+	}
+	task := sim.NewSoloTask("crashcheck")
+	fs, err := fsim.Format(task, data, 32)
+	if err != nil {
+		return nil, err
+	}
+	cfg := sqlmini.Config{Mode: sqlmini.Share, PageSize: 1024, CacheBytes: 16 * 1024}
+	db, err := sqlmini.Open(task, fs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := db.Update(task, func(tx *sqlmini.Tx) error {
+		for i := 0; i < sqlKeys; i++ {
+			if err := tx.Put(sqlKey(i), sqlVal(-1)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return &sqlStack{task: task, data: data, db: db, cfg: cfg}, nil
+}
+
+func sqlKey(i int) []byte { return []byte(fmt.Sprintf("row%02d", i)) }
+
+// sqlVal pads values so the rows fill several btree pages.
+func sqlVal(i int) []byte {
+	v := make([]byte, 200)
+	copy(v, fmt.Sprintf("txn%03d-", i))
+	for j := 8; j < len(v); j++ {
+		v[j] = byte(i + j)
+	}
+	return v
+}
+
+// sqlTxnKeys returns the rows transaction i updates: spread across pages
+// so a torn multi-page commit would be visible.
+func sqlTxnKeys(i int) []int {
+	return []int{i % sqlKeys, (i*5 + 2) % sqlKeys, (i*11 + 7) % sqlKeys}
+}
+
+func (s *sqlStack) Devices() []*ssd.Device { return []*ssd.Device{s.data} }
+
+func (s *sqlStack) Step(i int) error {
+	return s.db.Update(s.task, func(tx *sqlmini.Tx) error {
+		for _, k := range sqlTxnKeys(i) {
+			if err := tx.Put(sqlKey(k), sqlVal(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+func (s *sqlStack) Reopen() error {
+	s.data.Crash()
+	if err := s.data.Recover(s.task); err != nil {
+		return err
+	}
+	fs, err := fsim.Mount(s.task, s.data)
+	if err != nil {
+		return err
+	}
+	db, err := sqlmini.Open(s.task, fs, s.cfg)
+	if err != nil {
+		return err
+	}
+	s.db = db
+	return nil
+}
+
+// sqlModel is the oracle state after the first n transactions.
+func sqlModel(n int) map[string]string {
+	m := make(map[string]string, sqlKeys)
+	for i := 0; i < sqlKeys; i++ {
+		m[string(sqlKey(i))] = string(sqlVal(-1))
+	}
+	for i := 0; i < n; i++ {
+		for _, k := range sqlTxnKeys(i) {
+			m[string(sqlKey(k))] = string(sqlVal(i))
+		}
+	}
+	return m
+}
+
+func (s *sqlStack) Verify(committed, attempted int) error {
+	got := make(map[string]string, sqlKeys)
+	for i := 0; i < sqlKeys; i++ {
+		v, ok, err := s.db.Get(s.task, sqlKey(i))
+		if err != nil {
+			return fmt.Errorf("read %s: %v", sqlKey(i), err)
+		}
+		if !ok {
+			return fmt.Errorf("row %s missing after recovery", sqlKey(i))
+		}
+		got[string(sqlKey(i))] = string(v)
+	}
+	return diffStates(got, sqlModel(committed), sqlModel(attempted))
 }
 
 // ---------------------------------------------------------------------------

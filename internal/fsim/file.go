@@ -136,8 +136,8 @@ func (f *File) lpnAt(pageOff uint32) (lpn uint32, run uint32, err error) {
 }
 
 // MapRange translates the page-aligned byte range [off, off+length) into
-// device extents (a FIEMAP query). Engines use it to build scattered SHARE
-// batches that fsim.ShareRange's single contiguous range cannot express.
+// device extents (a FIEMAP query). AppendSharePairs builds SHARE pairs on
+// it; engines use it directly only to find pages to write or trim.
 func (f *File) MapRange(off, length int64) ([]Extent, error) {
 	ps := int64(f.fs.pageSize)
 	if off%ps != 0 || length%ps != 0 {

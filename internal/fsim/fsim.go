@@ -11,10 +11,12 @@
 //     keeps the paper's InnoDB host-write reduction below the ideal 50%;
 //   - crash recovery at mount: committed journal transactions are replayed
 //     into the metadata home locations;
-//   - the SHARE ioctl: ShareRange translates file offsets to LPNs through
-//     the extent maps of both files and issues device SHARE commands,
-//     coalescing contiguous runs and splitting to the device's atomic
-//     batch limit.
+//   - the SHARE ioctl, the one place a file-range remap becomes device
+//     commands: AppendSharePairs translates file offsets to LPN pairs
+//     through the extent maps of both files, coalescing contiguous runs;
+//     Share issues accumulated pairs in batches no wider than the
+//     device's atomic limit; Copy builds a zero-copy file duplicate on
+//     the two.
 package fsim
 
 import (
@@ -46,7 +48,8 @@ var (
 	// ErrNoSpace is returned when the data area or an inode's extent list
 	// is exhausted.
 	ErrNoSpace = errors.New("fsim: no space")
-	// ErrAlign is returned by ShareRange for unaligned arguments.
+	// ErrAlign is returned by MapRange and AppendSharePairs for unaligned
+	// arguments.
 	ErrAlign = errors.New("fsim: share range must be page aligned")
 )
 

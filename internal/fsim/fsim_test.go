@@ -297,7 +297,7 @@ func TestShareRangeBasic(t *testing.T) {
 	if err := dst.Allocate(task, 0, 4*512); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.ShareRange(task, dst, 0, src, 0, 4*512); err != nil {
+	if err := shareRange(task, fs, dst, 0, src, 0, 4*512); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 4*512)
@@ -319,10 +319,10 @@ func TestShareRangeAlignment(t *testing.T) {
 	if err := dst.Allocate(task, 0, 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.ShareRange(task, dst, 1, src, 0, 512); !errors.Is(err, ErrAlign) {
+	if err := shareRange(task, fs, dst, 1, src, 0, 512); !errors.Is(err, ErrAlign) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := fs.ShareRange(task, dst, 0, src, 0, 0); err != nil {
+	if err := shareRange(task, fs, dst, 0, src, 0, 0); err != nil {
 		t.Fatalf("zero-length share: %v", err)
 	}
 }
@@ -341,7 +341,7 @@ func TestShareRangeIsZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dev.Stats()
-	if err := fs.ShareRange(task, dst, 0, src, 0, int64(n)*512); err != nil {
+	if err := shareRange(task, fs, dst, 0, src, 0, int64(n)*512); err != nil {
 		t.Fatal(err)
 	}
 	after := dev.Stats()
@@ -376,7 +376,7 @@ func TestShareRangeBatchesSplitAtomically(t *testing.T) {
 	if err := dst.Allocate(task, 0, int64(n)*512); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.ShareRange(task, dst, 0, src, 0, int64(n)*512); err != nil {
+	if err := shareRange(task, fs, dst, 0, src, 0, int64(n)*512); err != nil {
 		t.Fatal(err)
 	}
 	if got := dev.Stats().FTL.Shares; got < 3 {
@@ -482,7 +482,7 @@ func TestShareRangeAcrossFragmentedExtents(t *testing.T) {
 	if err := dst.Allocate(task, 0, a.Size()); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.ShareRange(task, dst, 0, a, 0, a.Size()); err != nil {
+	if err := shareRange(task, fs, dst, 0, a, 0, a.Size()); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, a.Size())

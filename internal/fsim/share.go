@@ -7,93 +7,130 @@ import (
 	"share/internal/ssd"
 )
 
-// ShareRange is the SHARE ioctl: it remaps length bytes of dst starting at
-// dstOff onto the physical pages currently backing src at srcOff. Both
-// offsets and the length must be page aligned; the destination range must
-// already be allocated (use Allocate/fallocate first), matching how the
-// paper's modified Couchbase prepares the new database file.
+// AppendSharePairs translates one file-range remap — "length bytes of dst
+// at dstOff should now hold what src holds at srcOff" — into device SHARE
+// pairs and appends them to pairs. Both ranges are resolved through their
+// files' extent maps (MapRange, so physically contiguous extents coalesce)
+// and zipped: a pair ends wherever either side's extent ends. Pairs from
+// separate calls are never merged. Offsets and length must be page
+// aligned (ErrAlign otherwise), both ranges must already be allocated,
+// and a zero length appends nothing.
 //
-// The translation walks both files' extent maps, coalesces physically
-// contiguous runs into ranged pairs, and splits the command stream at the
-// device's atomic batch limit — each issued SHARE command is atomic on its
-// own, exactly like the prototype's vendor-unique SATA command.
-func (fs *FS) ShareRange(t *sim.Task, dst *File, dstOff int64, src *File, srcOff int64, length int64) error {
-	fs.latch.Lock(t)
-	defer fs.latch.Unlock(t)
-	ps := int64(fs.pageSize)
-	if dstOff%ps != 0 || srcOff%ps != 0 || length%ps != 0 {
-		return fmt.Errorf("%w: dstOff %d srcOff %d len %d", ErrAlign, dstOff, srcOff, length)
+// Like MapRange it reads the extent maps without the FS latch: callers
+// own both files for the duration, as every engine does for its own
+// files. Issue the accumulated pairs with Share.
+func AppendSharePairs(pairs []ssd.Pair, dst *File, dstOff int64, src *File, srcOff int64, length int64) ([]ssd.Pair, error) {
+	de, err := dst.MapRange(dstOff, length)
+	if err != nil {
+		return pairs, fmt.Errorf("fsim: share dst: %w", err)
 	}
-	if length == 0 {
-		return nil
+	se, err := src.MapRange(srcOff, length)
+	if err != nil {
+		return pairs, fmt.Errorf("fsim: share src: %w", err)
 	}
-	pages := uint32(length / ps)
-	dstPage := uint32(dstOff / ps)
-	srcPage := uint32(srcOff / ps)
-
-	var pairs []ssd.Pair
-	var batchUnits int
-	maxBatch := fs.dev.MaxShareBatch()
-	flush := func() error {
-		if len(pairs) == 0 {
-			return nil
+	var dOff, sOff uint32
+	for len(de) > 0 && len(se) > 0 {
+		run := min(de[0].Len-dOff, se[0].Len-sOff)
+		pairs = append(pairs, ssd.Pair{Dst: de[0].Start + dOff, Src: se[0].Start + sOff, Len: run})
+		dOff += run
+		sOff += run
+		if dOff == de[0].Len {
+			de, dOff = de[1:], 0
 		}
-		err := fs.dev.Share(t, pairs)
-		pairs = pairs[:0]
-		batchUnits = 0
-		return err
-	}
-
-	for pages > 0 {
-		dstLPN, dstRun, err := dst.lpnAt(dstPage)
-		if err != nil {
-			return fmt.Errorf("fsim: share dst: %w", err)
-		}
-		srcLPN, srcRun, err := src.lpnAt(srcPage)
-		if err != nil {
-			return fmt.Errorf("fsim: share src: %w", err)
-		}
-		run := pages
-		if dstRun < run {
-			run = dstRun
-		}
-		if srcRun < run {
-			run = srcRun
-		}
-		// A ranged pair must not overlap itself; and a batch must fit the
-		// device's one-delta-page atomic limit.
-		for run > 0 {
-			chunk := run
-			if room := uint32(maxBatch - batchUnits); chunk > room {
-				chunk = room
-			}
-			if chunk == 0 {
-				if err := flush(); err != nil {
-					return err
-				}
-				continue
-			}
-			if overlaps(dstLPN, srcLPN, chunk) {
-				// Degenerate layout (shared physical neighborhood):
-				// fall back to single-page pairs.
-				chunk = 1
-			}
-			pairs = append(pairs, ssd.Pair{Dst: dstLPN, Src: srcLPN, Len: chunk})
-			batchUnits += int(chunk)
-			dstLPN += chunk
-			srcLPN += chunk
-			run -= chunk
-			dstPage += chunk
-			srcPage += chunk
-			pages -= chunk
-			if batchUnits >= maxBatch {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
+		if sOff == se[0].Len {
+			se, sOff = se[1:], 0
 		}
 	}
-	return flush()
+	return pairs, nil
 }
 
-func overlaps(a, b, n uint32) bool { return a < b+n && b < a+n }
+// Share is the SHARE ioctl: it issues pairs to the device as SHARE
+// commands no wider than the device's atomic batch limit. Pairs are
+// packed in order; a pair that does not fit the open batch flushes it
+// first, and only a single pair wider than the limit is itself split
+// across commands. Each issued command is atomic on its own, exactly like
+// the prototype's vendor-unique SATA command; the sequence is not, so a
+// caller needing all-or-nothing across more than one batch must keep its
+// source copy valid until Share returns (the doublewrite integration
+// does exactly that).
+func (fs *FS) Share(t *sim.Task, pairs []ssd.Pair) error {
+	max := fs.dev.MaxShareBatch()
+	start, units := 0, 0
+	flush := func(end int) error {
+		if start == end {
+			return nil
+		}
+		err := fs.dev.Share(t, pairs[start:end])
+		start, units = end, 0
+		return err
+	}
+	for i, p := range pairs {
+		if p.Len == 0 {
+			return fmt.Errorf("fsim: zero-length share pair")
+		}
+		if int(p.Len) > max {
+			if err := flush(i); err != nil {
+				return err
+			}
+			for off := uint32(0); off < p.Len; off += uint32(max) {
+				n := min(p.Len-off, uint32(max))
+				if err := fs.dev.Share(t, []ssd.Pair{{Dst: p.Dst + off, Src: p.Src + off, Len: n}}); err != nil {
+					return err
+				}
+			}
+			start = i + 1
+			continue
+		}
+		if units+int(p.Len) > max {
+			if err := flush(i); err != nil {
+				return err
+			}
+		}
+		units += int(p.Len)
+	}
+	return flush(len(pairs))
+}
+
+// Copy duplicates srcName into a new file dstName without copying any
+// data: it allocates the destination and SHAREs the whole-page range (the
+// "file copy operations ... almost without copying data" case from §1).
+// The trailing partial page, if any, is copied through the host since
+// SHARE works in whole mapping units.
+func (fs *FS) Copy(t *sim.Task, dstName, srcName string) (*File, error) {
+	src, err := fs.Open(t, srcName)
+	if err != nil {
+		return nil, err
+	}
+	dst, err := fs.Create(t, dstName)
+	if err != nil {
+		return nil, err
+	}
+	size := src.Size()
+	ps := int64(fs.pageSize)
+	whole := size / ps * ps
+	if whole > 0 {
+		if err := dst.Allocate(t, 0, whole); err != nil {
+			return nil, err
+		}
+		pairs, err := AppendSharePairs(nil, dst, 0, src, 0, whole)
+		if err != nil {
+			return nil, err
+		}
+		if err := fs.Share(t, pairs); err != nil {
+			return nil, err
+		}
+	}
+	if tail := size - whole; tail > 0 {
+		buf := make([]byte, tail)
+		if _, err := src.ReadAt(t, buf, whole); err != nil {
+			return nil, err
+		}
+		if _, err := dst.WriteAt(t, buf, whole); err != nil {
+			return nil, err
+		}
+	}
+	if err := dst.Truncate(t, size); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}

@@ -8,8 +8,8 @@ import (
 
 	"share/internal/btree"
 	"share/internal/bufpool"
-	"share/internal/core"
 	"share/internal/extcache"
+	"share/internal/fsim"
 	"share/internal/sim"
 	"share/internal/ssd"
 )
@@ -249,42 +249,13 @@ func (fl *flusher) shareHome(t *sim.Task, pages []bufpool.PageImage) error {
 	ps := int64(e.cfg.PageSize)
 	var pairs []ssd.Pair
 	for i, pg := range pages {
-		dst, err := e.file.MapRange(ps*int64(pg.PageNo), ps)
-		if err != nil {
+		var err error
+		if pairs, err = fsim.AppendSharePairs(pairs, e.file, ps*int64(pg.PageNo), e.dwb, ps*int64(1+i), ps); err != nil {
 			return err
-		}
-		src, err := e.dwb.MapRange(ps*int64(1+i), ps)
-		if err != nil {
-			return err
-		}
-		// Both files are preallocated contiguously, so an engine page is
-		// one extent on each side; split defensively if not.
-		di, si := 0, 0
-		dOff, sOff := uint32(0), uint32(0)
-		for di < len(dst) && si < len(src) {
-			run := dst[di].Len - dOff
-			if r := src[si].Len - sOff; r < run {
-				run = r
-			}
-			pairs = append(pairs, ssd.Pair{
-				Dst: dst[di].Start + dOff,
-				Src: src[si].Start + sOff,
-				Len: run,
-			})
-			dOff += run
-			sOff += run
-			if dOff == dst[di].Len {
-				di++
-				dOff = 0
-			}
-			if sOff == src[si].Len {
-				si++
-				sOff = 0
-			}
 		}
 		atomic.AddInt64(&e.st.SharePairs, 1)
 	}
-	return core.ShareAll(t, e.fs.Device(), pairs)
+	return e.fs.Share(t, pairs)
 }
 
 func checksum32(b []byte) uint32 {

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"share/internal/bufpool"
-	"share/internal/core"
 	"share/internal/fsim"
 	"share/internal/ftl"
 	"share/internal/sim"
@@ -398,30 +397,23 @@ func (fl *pgFlusher) FlushBatch(t *sim.Task, pages []bufpool.PageImage) error {
 				if err := db.scratch.Sync(t); err != nil {
 					return err
 				}
-				if err := core.ShareAll(t, db.fs.Device(), pairs); err != nil {
+				if err := db.fs.Share(t, pairs); err != nil {
 					return err
 				}
-				pairs = nil
+				pairs = pairs[:0]
 			}
 			if _, err := db.scratch.WriteAt(t, pg.Data, slot*ps); err != nil {
 				return err
 			}
-			dst, err := db.file.MapRange(int64(pg.PageNo)*ps, ps)
-			if err != nil {
+			var err error
+			if pairs, err = fsim.AppendSharePairs(pairs, db.file, int64(pg.PageNo)*ps, db.scratch, slot*ps, ps); err != nil {
 				return err
-			}
-			src, err := db.scratch.MapRange(slot*ps, ps)
-			if err != nil {
-				return err
-			}
-			for j := range dst {
-				pairs = append(pairs, ssd.Pair{Dst: dst[j].Start, Src: src[j].Start, Len: dst[j].Len})
 			}
 		}
 		if err := db.scratch.Sync(t); err != nil {
 			return err
 		}
-		return core.ShareAll(t, db.fs.Device(), pairs)
+		return db.fs.Share(t, pairs)
 	}
 	for _, pg := range pages {
 		if _, err := db.file.WriteAt(t, pg.Data, int64(pg.PageNo)*ps); err != nil {

@@ -7,7 +7,7 @@ import (
 	"sort"
 
 	"share/internal/btree"
-	"share/internal/core"
+	"share/internal/fsim"
 	"share/internal/sim"
 	"share/internal/ssd"
 )
@@ -221,7 +221,7 @@ func (db *DB) commitShare(t *sim.Task) error {
 			len(pages), db.cfg.StagePages)
 	}
 	ps := int64(db.cfg.PageSize)
-	// Ensure home pages are allocated so MapRange can translate them.
+	// Ensure home pages are allocated so the remap can translate them.
 	maxPage := pages[len(pages)-1]
 	if err := db.file.Allocate(t, 0, ps*int64(maxPage+1)); err != nil {
 		return err
@@ -245,20 +245,13 @@ func (db *DB) commitShare(t *sim.Task) error {
 	}
 	var pairs []ssd.Pair
 	for i, p := range pages {
-		dst, err := db.file.MapRange(ps*int64(p), ps)
-		if err != nil {
+		var err error
+		if pairs, err = fsim.AppendSharePairs(pairs, db.file, ps*int64(p), db.stg, ps*int64(i), ps); err != nil {
 			return err
-		}
-		src, err := db.stg.MapRange(ps*int64(i), ps)
-		if err != nil {
-			return err
-		}
-		for j := range dst {
-			pairs = append(pairs, ssd.Pair{Dst: dst[j].Start, Src: src[j].Start, Len: dst[j].Len})
 		}
 		db.st.SharePairs++
 	}
-	if err := core.ShareAll(t, db.fs.Device(), pairs); err != nil {
+	if err := db.fs.Share(t, pairs); err != nil {
 		return err
 	}
 	// The staged copies are now redundant aliases; the pool frames are

@@ -22,10 +22,8 @@ import (
 
 	"share/internal/btree"
 	"share/internal/bufpool"
-	"share/internal/core"
 	"share/internal/fsim"
 	"share/internal/sim"
-	"share/internal/ssd"
 )
 
 // Mode selects the commit protocol.
@@ -360,9 +358,6 @@ func (db *DB) Stats() Stats { return db.st }
 
 // Root returns the current tree root (for tests).
 func (db *DB) Root() uint32 { return db.root }
-
-var _ = ssd.Pair{} // keep the ssd import for the share path below
-var _ = core.ShareAll
 
 // btreeOpen returns a tree handle bound to the current root; exported to
 // the package tests, which drive partial commit protocols by hand.

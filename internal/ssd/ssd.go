@@ -311,7 +311,7 @@ func (d *Device) Trim(t *sim.Task, lpn uint32, n int) error {
 }
 
 // Share issues one SHARE command. Batches wider than MaxShareBatch must be
-// split by the caller (the core host library does this).
+// split by the caller (fsim.(*FS).Share does this).
 func (d *Device) Share(t *sim.Task, pairs []Pair) error {
 	return d.serve(t, metrics.CmdShare, func() (sim.Duration, error) { return d.ftl.Share(pairs) })
 }

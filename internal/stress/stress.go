@@ -10,24 +10,12 @@
 package stress
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
-	"net"
 	"strings"
-	"time"
 
+	"share/internal/client"
 	"share/internal/server"
-)
-
-// Transient transport failures (connection reset, server restart) are
-// retried with bounded exponential backoff instead of failing the
-// worker: the connection is redialed, USE re-issued, and the in-flight
-// command re-sent, up to retryMax attempts. Backoff jitter draws from a
-// dedicated seeded rng so runs stay deterministic.
-const (
-	retryMax  = 3
-	retryBase = 2 * time.Millisecond
 )
 
 // Config shapes one stress run.
@@ -114,121 +102,24 @@ func Run(cfg Config) (Report, error) {
 	return total, nil
 }
 
-// rconn is a worker's retrying connection: one round-trip at a time,
-// with transparent redial + re-USE + replay on transport errors.
-type rconn struct {
-	addr    string
-	tenant  string // re-issued as USE after every redial, once set
-	conn    net.Conn
-	r       *bufio.Reader
-	rng     *rand.Rand // backoff jitter only, separate from the op mix
-	retries *int64
-	// retriedLast reports whether the last successful do() replayed the
-	// command on a fresh connection. The first attempt may or may not
-	// have been applied before the transport died, so non-idempotent
-	// callers (DEL) must not hold the reply against their model.
-	retriedLast bool
-}
-
-func (c *rconn) redial() error {
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return err
-	}
-	r := bufio.NewReader(conn)
-	if c.tenant != "" {
-		if _, err := fmt.Fprintf(conn, "USE %s\n", c.tenant); err != nil {
-			conn.Close()
-			return err
-		}
-		resp, err := r.ReadString('\n')
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		if strings.TrimRight(resp, "\n") != "OK" {
-			conn.Close()
-			return fmt.Errorf("re-USE %s: %s", c.tenant, resp)
-		}
-	}
-	c.conn, c.r = conn, r
-	return nil
-}
-
-func (c *rconn) roundTrip(line string) (string, error) {
-	if _, err := fmt.Fprintf(c.conn, "%s\n", line); err != nil {
-		return "", err
-	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(resp, "\n"), nil
-}
-
-// do sends one command and reads its reply, retrying transport errors
-// with bounded exponential backoff (base 2ms doubling, plus seeded
-// jitter). Server-level ERR replies are returned to the caller — only
-// the transport is retried.
-func (c *rconn) do(line string) (string, bool) {
-	c.retriedLast = false
-	for attempt := 0; ; attempt++ {
-		if c.conn == nil {
-			if err := c.redial(); err != nil {
-				if attempt >= retryMax {
-					return "", false
-				}
-				c.backoff(attempt)
-				continue
-			}
-		}
-		resp, err := c.roundTrip(line)
-		if err == nil {
-			c.retriedLast = attempt > 0
-			return resp, true
-		}
-		c.conn.Close()
-		c.conn = nil
-		if attempt >= retryMax {
-			return "", false
-		}
-		c.backoff(attempt)
-	}
-}
-
-func (c *rconn) backoff(attempt int) {
-	*c.retries++
-	d := retryBase << attempt
-	d += time.Duration(c.rng.Int63n(int64(retryBase)))
-	time.Sleep(d)
-}
-
-func (c *rconn) close() {
-	if c.conn != nil {
-		c.conn.Close()
-	}
-}
-
 // worker runs one connection's op mix: 50% set, 30% verified get, 10%
 // delete, 10% commit. It mirrors every mutation in a local model keyed by
 // its own disjoint key range, so a get either matches the model exactly
 // or counts a DataError.
-func worker(addr string, w int, cfg Config) Report {
-	var rep Report
-	cl := &rconn{
-		addr:    addr,
-		rng:     rand.New(rand.NewSource(cfg.Seed + int64(w) + 1<<32)),
-		retries: &rep.Retries,
-	}
-	defer cl.close()
-	do := cl.do
+func worker(addr string, w int, cfg Config) (rep Report) {
+	cl := client.New(addr, cfg.Seed+int64(w)+1<<32)
+	defer func() {
+		cl.Close()
+		rep.Retries = int64(cl.Retries)
+	}()
+	do := cl.Do
 
 	tenant := fmt.Sprintf("tenant%d", w%cfg.Tenants)
 	if resp, ok := do("USE " + tenant); !ok || resp != "OK" {
 		rep.WriteErrors++
 		return rep
 	}
-	cl.tenant = tenant // redials re-select the tenant from here on
+	cl.Tenant = tenant // redials re-select the tenant from here on
 
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
 	model := make(map[string]string, cfg.Keys) // key -> value; absent = deleted/never set
@@ -271,7 +162,7 @@ func worker(addr string, w int, cfg Config) Report {
 			_, exists := model[k]
 			// A replayed DEL may answer NIL because the first attempt
 			// landed before the transport died; either way the key is gone.
-			if !cl.retriedLast && (resp == "OK") != exists {
+			if !cl.RetriedLast && (resp == "OK") != exists {
 				rep.DataErrors++
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"share/internal/client"
 	"share/internal/server"
 )
 
@@ -140,8 +141,8 @@ func TestStressRetryBudgetExhausts(t *testing.T) {
 	if !rep.Failed() {
 		t.Fatal("dead transport did not surface as an error")
 	}
-	if rep.Retries != retryMax {
-		t.Fatalf("retries = %d, want exactly the budget %d", rep.Retries, retryMax)
+	if rep.Retries != client.RetryMax {
+		t.Fatalf("retries = %d, want exactly the budget %d", rep.Retries, client.RetryMax)
 	}
 }
 
