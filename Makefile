@@ -5,7 +5,7 @@ GO ?= go
 # CI run by exporting the seed it printed: CRASHCHECK_SEED=<n> make fuzz-crash
 CRASHCHECK_SEED ?= 1
 
-.PHONY: build test check race bench bench-cache bench-json bench-scale bench-soak bench-streams bench-tenants bench-writepath profile fuzz-crash fmt
+.PHONY: build test check race bench fixtures profile fuzz-crash fmt
 
 build:
 	$(GO) build ./...
@@ -15,9 +15,10 @@ test:
 
 # check is the tier-1 gate: vet, build, and the full test suite under the
 # race detector (includes the fault-injection and crash-point fuzzing
-# suites), the two examples that exit non-zero when their invariant
-# breaks, plus the whole-stack crash harness sample and the
-# machine-readable report smoke check. Run it before sending a change.
+# suites, and TestFixtures, which reruns every fixture experiment and
+# compares it with its checked-in BENCH_*.json), the two examples that
+# exit non-zero when their invariant breaks, plus the whole-stack crash
+# harness sample. Run it before sending a change.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -25,13 +26,6 @@ check:
 	$(GO) run ./examples/atomiccommit
 	$(GO) run ./examples/filecopy
 	$(MAKE) fuzz-crash
-	$(MAKE) bench-json
-	$(MAKE) bench-scale
-	$(MAKE) bench-soak
-	$(MAKE) bench-streams
-	$(MAKE) bench-tenants
-	$(MAKE) bench-writepath
-	$(MAKE) bench-cache
 
 # fuzz-crash runs the whole-stack crash harness (internal/crashcheck) in
 # short mode: for every engine x SHARE-mode cell (innodb DWB-on/SHARE,
@@ -54,59 +48,13 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# bench-json runs the smoke experiment through the telemetry pipeline and
-# writes BENCH_smoke.json (validated against the share-bench/v1 schema
-# before it is written). Identically-seeded runs are byte-identical.
-bench-json:
-	$(GO) run ./cmd/sharebench -exp smoke -json -outdir .
-
-# bench-scale sweeps channel count x queue depth on die-scheduled arrays
-# and writes BENCH_scale.json with per-die utilization telemetry; the
-# speedup_c4_over_c1_qd8 metric is the parallelism regression anchor.
-bench-scale:
-	$(GO) run ./cmd/sharebench -exp scale -json -outdir .
-
-# bench-soak ages a device through several drive-writes on endogenously
-# decaying media (read disturb + retention + wear) with and without the
-# background patrol scrubber and writes BENCH_soak.json. The patrol run
-# must hold uncorrectable reads at zero while the unscrubbed control
-# degrades; TestSoakScrubberHoldsZero pins the contrast.
-bench-soak:
-	$(GO) run ./cmd/sharebench -exp soak -json -outdir .
-
-# bench-streams ages three identical 4-channel devices under zipfian
-# updates — hints off, explicit hot/cold host hints, auto-stream
-# classifier — plus a couch-on-fsim whole-stack leg, and writes
-# BENCH_streams.json; the wa_reduction_* and copyback_reduction_*
-# metrics are the write-placement regression anchors, pinned by
-# TestStreamsWAReduction.
-bench-streams:
-	$(GO) run ./cmd/sharebench -exp streams -json -outdir .
-
-# bench-tenants sweeps client count x tenant count over per-tenant couch
-# stores on a 4-channel device behind fair-share admission and writes
-# BENCH_tenants.json; speedup_t4_c8_over_c1 (client scaling) and
-# fairness_t4_c8 (balanced per-tenant billing) are the concurrency
-# regression anchors, pinned by TestTenantsScaling.
-bench-tenants:
-	$(GO) run ./cmd/sharebench -exp tenants -json -outdir .
-
-# bench-writepath sweeps IO size x queue depth x placement strategy
-# (legacy / host stream hints / auto-stream) on aged 4-channel devices and
-# writes BENCH_writepath.json; the winner_s*_qd* crossover-map metrics pin
-# which strategy wins each cell, and TestWritepathJSONDeterministic pins
-# byte-identical reports.
-bench-writepath:
-	$(GO) run ./cmd/sharebench -exp writepath -json -outdir .
-
-# bench-cache compares the flash-extended buffer cache tier against the
-# no-cache baseline (steady-state throughput and hit rate) and measures
-# recovery-to-peak-throughput after a crash for warm (revalidated map),
-# cold (blank cache device) and faulted (damaged media) restarts, writing
-# BENCH_cache.json; TestCacheRecoveryFloors pins warm < cold and
-# TestCacheJSONDeterministic pins byte-identical reports.
-bench-cache:
-	$(GO) run ./cmd/sharebench -exp cache -json -outdir .
+# fixtures regenerates every checked-in BENCH_<id>.json (schema
+# share-bench/v1) from a fresh default-Params run. The fixture set and
+# the paper claims each report must show live in one table in
+# internal/bench/fixtures_test.go; TestFixtures fails on any byte
+# difference and TestFixtureClaims on any broken claim.
+fixtures:
+	$(GO) test ./internal/bench -run TestFixtures -update
 
 # profile runs the scale experiment at 20x op count with CPU and
 # allocation profiling; inspect with `go tool pprof cpu.pprof`. The

@@ -194,9 +194,12 @@ func init() {
 				r.Metric(key+"_compact_written", written[i], "MB")
 				r.Device(key, dev)
 			}
+			elapsedRatio, writtenRatio := elapsed[0]/elapsed[1], written[0]/written[1]
+			r.Metric("elapsed_ratio", elapsedRatio, "x")
+			r.Metric("written_ratio", writtenRatio, "x")
 			out := tb.String()
 			out += fmt.Sprintf("\nElapsed ratio %.1fx (paper 3.1x), written ratio %.1fx (paper 7.5x).\n",
-				elapsed[0]/elapsed[1], written[0]/written[1])
+				elapsedRatio, writtenRatio)
 			return out, nil
 		},
 	})

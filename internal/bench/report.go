@@ -151,8 +151,8 @@ func (r *Report) JSON() ([]byte, error) {
 }
 
 // ValidateReportJSON checks that data parses as a report of the current
-// schema with the identity fields present — the smoke check `make
-// bench-json` applies to generated files.
+// schema with the identity fields present — the check cmd/sharebench
+// -json and TestFixtures apply to every generated report.
 func ValidateReportJSON(data []byte) error {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {

@@ -10,11 +10,12 @@ import (
 	"share/internal/ssd"
 )
 
-// The smoke experiment is the fast end-to-end check behind `make
-// bench-json`: a small aged device driven at queue depth 4 by
-// concurrent clients mixing every command class, reported through the
-// full telemetry pipeline. It doubles as the determinism fixture — two
-// runs with the same Params must produce byte-identical reports.
+// The smoke experiment is the fast end-to-end check of the report
+// pipeline: a small aged device driven at queue depth 4 by concurrent
+// clients mixing every command class, reported through the full
+// telemetry pipeline. Its fixture, BENCH_smoke.json, is the
+// legacy-format (no host streams) report that TestFixtures compares
+// byte for byte.
 func init() {
 	register(Experiment{
 		ID:    "smoke",

@@ -18,9 +18,9 @@ import (
 // running at a low duty cycle, once without — and audits every logical
 // page at the end. The patrol run must finish with zero uncorrectable
 // reads; the unscrubbed control accumulates them as its cold data rots
-// past the soft-decode limit. TestSoakScrubberHoldsZero pins that
-// contrast as a regression oracle, and BENCH_soak.json carries the full
-// telemetry (RBER gauges, blocks refreshed, ECC ladder escalations).
+// past the soft-decode limit. The soak claims in TestFixtureClaims pin
+// that contrast as a regression oracle, and BENCH_soak.json carries the
+// full telemetry (RBER gauges, blocks refreshed, ECC ladder escalations).
 //
 // Sizing is fixed rather than Scale-derived: the oracle depends on the
 // balance between retention rot rate, patrol duty cycle and drive

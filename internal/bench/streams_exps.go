@@ -24,8 +24,8 @@ import (
 // than the unhinted leg. A second table runs the whole stack — couch on
 // fsim with per-file stream attributes — under YCSB-A to show the
 // engine-level hint plumbing (append log vs compaction output) reaching
-// the device. The BENCH_streams.json regression pins the WA and copyback
-// reductions (TestStreamsWAReduction).
+// the device. The BENCH_streams.json fixture pins the WA and copyback
+// reductions (TestFixtureClaims).
 func init() {
 	register(Experiment{
 		ID:    "streams",

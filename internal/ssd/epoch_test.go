@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"share/internal/metrics"
@@ -158,5 +159,67 @@ func TestMetricsEpochScoped(t *testing.T) {
 	}
 	if got := d.Metrics().Latency(metrics.CmdWrite).Count; got != 5 {
 		t.Fatalf("write count = %d, want 5", got)
+	}
+}
+
+// TestStatsSubDiffsEveryField enforces the contract on Stats.sub: with
+// every numeric and slice field of ftl.Stats and nand.Stats set to
+// distinct values in cur and base, each field of the epoch view must be
+// cur-base, except the listed gauges, which pass cur through. A counter
+// added to either struct without a subtraction line fails here.
+func TestStatsSubDiffsEveryField(t *testing.T) {
+	gauges := map[string]bool{
+		"SpareBlocksLeft": true, "ReadOnly": true,
+		"MaxWear": true, "MinWear": true, "BadBlocks": true, "MaxPageRisk": true, "MeanPageRisk": true,
+	}
+	var cur, base Stats
+	fill := func(s reflect.Value, offset int64) {
+		for i := 0; i < s.NumField(); i++ {
+			v := offset + 10*int64(i+1)
+			switch f := s.Field(i); f.Kind() {
+			case reflect.Int64:
+				f.SetInt(v)
+			case reflect.Bool:
+				f.SetBool(offset > 0)
+			case reflect.Slice:
+				f.Set(reflect.ValueOf([]int64{v, v + 1}))
+			default:
+				t.Fatalf("%s.%s: unhandled kind %s; extend this test", s.Type(), s.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	for _, part := range []string{"FTL", "Chip"} {
+		fill(reflect.ValueOf(&cur).Elem().FieldByName(part), 1000)
+		fill(reflect.ValueOf(&base).Elem().FieldByName(part), 0)
+	}
+	out := cur.sub(base)
+	for _, part := range []string{"FTL", "Chip"} {
+		c := reflect.ValueOf(cur).FieldByName(part)
+		b := reflect.ValueOf(base).FieldByName(part)
+		o := reflect.ValueOf(out).FieldByName(part)
+		for i := 0; i < o.NumField(); i++ {
+			name := o.Type().Field(i).Name
+			if gauges[name] {
+				if !reflect.DeepEqual(o.Field(i).Interface(), c.Field(i).Interface()) {
+					t.Errorf("%s.%s is a gauge but sub changed it: %v, want %v", part, name, o.Field(i), c.Field(i))
+				}
+				continue
+			}
+			var want any
+			switch o.Field(i).Kind() {
+			case reflect.Int64:
+				want = c.Field(i).Int() - b.Field(i).Int()
+			case reflect.Slice:
+				cs, bs := c.Field(i).Interface().([]int64), b.Field(i).Interface().([]int64)
+				want = []int64{cs[0] - bs[0], cs[1] - bs[1]}
+			default:
+				t.Errorf("%s.%s (%s) cannot be differenced; list it as a gauge", part, name, o.Field(i).Kind())
+				continue
+			}
+			if !reflect.DeepEqual(o.Field(i).Interface(), want) {
+				t.Errorf("%s.%s not differenced by sub: %v, want %v (a counter must be subtracted, or listed as a gauge)",
+					part, name, o.Field(i), want)
+			}
+		}
 	}
 }
