@@ -56,13 +56,16 @@ bench:
 fixtures:
 	$(GO) test ./internal/bench -run TestFixtures -update
 
-# profile runs the scale experiment at 20x op count with CPU and
-# allocation profiling; inspect with `go tool pprof cpu.pprof`. The
-# op-count multiplier keeps the measured loop hot long enough for a
-# useful sample without changing device geometry or aging.
+# profile runs one experiment (PROFILE_EXP, default scale; e.g.
+# `make profile PROFILE_EXP=fig6`) with CPU and allocation profiling;
+# inspect with `go tool pprof cpu.pprof`. PROFILE_OPSCALE multiplies the
+# op count of the experiments that honour -opscale (scale), keeping the
+# measured loop hot long enough for a useful sample without changing
+# device geometry or aging; the others ignore it.
+PROFILE_EXP ?= scale
 PROFILE_OPSCALE ?= 20
 profile:
-	$(GO) run ./cmd/sharebench -exp scale -opscale $(PROFILE_OPSCALE) \
+	$(GO) run ./cmd/sharebench -exp $(PROFILE_EXP) -opscale $(PROFILE_OPSCALE) \
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof mem.pprof — inspect with: $(GO) tool pprof cpu.pprof"
 

@@ -46,6 +46,7 @@ type Pool struct {
 
 	frames map[uint32]*Frame
 	lru    *list.List // front = most recently used
+	dirty  int        // frames with dirty set; DirtyCount without a walk
 	// FlushBatchSize is how many dirty pages are flushed together when
 	// eviction or a checkpoint needs clean frames (the doublewrite batch).
 	FlushBatchSize int
@@ -204,10 +205,7 @@ func (p *Pool) FlushSome(t *sim.Task, n int) error {
 	if err := p.flusher.FlushBatch(t, batch); err != nil {
 		return err
 	}
-	for _, f := range frames {
-		f.dirty = false
-	}
-	p.flushedPages += int64(len(batch))
+	p.cleaned(frames)
 	return nil
 }
 
@@ -229,23 +227,23 @@ func (p *Pool) FlushAll(t *sim.Task) error {
 		if err := p.flusher.FlushBatch(t, batch); err != nil {
 			return err
 		}
-		for _, f := range frames {
-			f.dirty = false
-		}
-		p.flushedPages += int64(len(batch))
+		p.cleaned(frames)
 	}
 }
 
-// DirtyCount returns the number of dirty frames.
-func (p *Pool) DirtyCount() int {
-	n := 0
-	for _, f := range p.frames {
-		if f.dirty {
-			n++
-		}
+// cleaned marks frames clean after their batch reached storage.
+func (p *Pool) cleaned(frames []*Frame) {
+	for _, f := range frames {
+		f.dirty = false
 	}
-	return n
+	p.dirty -= len(frames)
+	p.flushedPages += int64(len(frames))
 }
+
+// DirtyCount returns the number of dirty frames. It is O(1): the pool
+// counts clean→dirty transitions in MarkDirty and subtracts the frames a
+// successful flush cleaned; eviction only ever removes clean frames.
+func (p *Pool) DirtyCount() int { return p.dirty }
 
 // Len returns the number of resident frames.
 func (p *Pool) Len() int { return len(p.frames) }
@@ -265,7 +263,10 @@ func (f *Frame) PageNo() uint32 { return f.pageNo }
 
 // MarkDirty flags the frame for the next flush.
 func (f *Frame) MarkDirty() {
-	f.dirty = true
+	if !f.dirty {
+		f.dirty = true
+		f.pool.dirty++
+	}
 	if f.pool.OnDirty != nil {
 		f.pool.OnDirty(f.pageNo)
 	}
@@ -293,10 +294,12 @@ func (p *Pool) CleanAll() {
 	for _, f := range p.frames {
 		f.dirty = false
 	}
+	p.dirty = 0
 }
 
 // Drop discards all frames without flushing (crash simulation).
 func (p *Pool) Drop() {
 	p.frames = make(map[uint32]*Frame)
 	p.lru = list.New()
+	p.dirty = 0
 }

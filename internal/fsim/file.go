@@ -256,7 +256,11 @@ func (f *File) WriteAtStream(t *sim.Task, p []byte, off int64, stream int) (int,
 	}
 	firstPage := uint32(off / ps)
 	lastPage := uint32((off + int64(len(p)) - 1) / ps)
-	lpns := make([]uint32, 0, lastPage-firstPage+1)
+	var lpnBuf [4]uint32 // the common one-page I/O needs no heap slice
+	lpns := lpnBuf[:0]
+	if n := lastPage - firstPage + 1; n > uint32(len(lpnBuf)) {
+		lpns = make([]uint32, 0, n)
+	}
 	for pg := firstPage; pg <= lastPage; pg++ {
 		lpn, _, err := f.lpnAt(pg)
 		if err != nil {
@@ -272,7 +276,7 @@ func (f *File) WriteAtStream(t *sim.Task, p []byte, off int64, stream int) (int,
 	fs.latch.Unlock(t)
 
 	written := 0
-	buf := make([]byte, fs.pageSize)
+	var buf []byte // read-modify-write page, only for partial pages
 	for written < len(p) {
 		cur := off + int64(written)
 		within := int(cur % ps)
@@ -286,6 +290,9 @@ func (f *File) WriteAtStream(t *sim.Task, p []byte, off int64, stream int) (int,
 				return written, err
 			}
 		} else {
+			if buf == nil {
+				buf = make([]byte, fs.pageSize)
+			}
 			if err := fs.dev.ReadPage(t, lpn, buf); err != nil {
 				return written, err
 			}
@@ -301,7 +308,9 @@ func (f *File) WriteAtStream(t *sim.Task, p []byte, off int64, stream int) (int,
 
 // ReadAt reads into p from byte offset off. Reads past EOF return io.EOF
 // after the available bytes. The size and extent map are snapshotted
-// under the FS latch; the data page I/O runs outside it.
+// under the FS latch; the data page I/O runs outside it. Whole aligned
+// pages are read straight into p, so on error the content of p past the
+// returned count is unspecified (as io.ReaderAt allows).
 func (f *File) ReadAt(t *sim.Task, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("fsim: negative offset")
@@ -321,7 +330,11 @@ func (f *File) ReadAt(t *sim.Task, p []byte, off int64) (int, error) {
 	}
 	firstPage := uint32(off / ps)
 	lastPage := uint32((off + int64(want) - 1) / ps)
-	lpns := make([]uint32, 0, lastPage-firstPage+1)
+	var lpnBuf [4]uint32 // the common one-page I/O needs no heap slice
+	lpns := lpnBuf[:0]
+	if n := lastPage - firstPage + 1; n > uint32(len(lpnBuf)) {
+		lpns = make([]uint32, 0, n)
+	}
 	for pg := firstPage; pg <= lastPage; pg++ {
 		lpn, _, err := f.lpnAt(pg)
 		if err != nil {
@@ -332,7 +345,7 @@ func (f *File) ReadAt(t *sim.Task, p []byte, off int64) (int, error) {
 	}
 	fs.latch.Unlock(t)
 
-	buf := make([]byte, fs.pageSize)
+	var buf []byte // bounce page, only for partial pages
 	read := 0
 	for read < want {
 		cur := off + int64(read)
@@ -342,10 +355,19 @@ func (f *File) ReadAt(t *sim.Task, p []byte, off int64) (int, error) {
 			n = want - read
 		}
 		lpn := lpns[uint32(cur/ps)-firstPage]
-		if err := fs.dev.ReadPage(t, lpn, buf); err != nil {
-			return read, err
+		if within == 0 && n == fs.pageSize {
+			if err := fs.dev.ReadPage(t, lpn, p[read:read+n]); err != nil {
+				return read, err
+			}
+		} else {
+			if buf == nil {
+				buf = make([]byte, fs.pageSize)
+			}
+			if err := fs.dev.ReadPage(t, lpn, buf); err != nil {
+				return read, err
+			}
+			copy(p[read:read+n], buf[within:within+n])
 		}
-		copy(p[read:read+n], buf[within:within+n])
 		read += n
 	}
 	if want < len(p) {

@@ -183,6 +183,7 @@ type Engine struct {
 
 	// Redo bookkeeping, guarded by e.mu.
 	txnPages        map[uint32]bool // pages dirtied by the txn being applied (no-steal)
+	redoRec         []byte          // commit's page-image record scratch (5+PageSize); Log.Append copies it
 	applying        bool
 	imagesSinceCkpt int
 
@@ -260,6 +261,7 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*Engine, er
 		cfg:       cfg,
 		tables:    make(map[string]*Table),
 		txnPages:  make(map[uint32]bool),
+		redoRec:   make([]byte, 5+cfg.PageSize),
 		protected: make(map[uint32]int),
 		hwm:       1,
 	}
@@ -403,9 +405,7 @@ func (e *Engine) persistMeta(t *sim.Task) error {
 		return err
 	}
 	d := f.Data
-	for i := 12; i < len(d); i++ {
-		d[i] = 0
-	}
+	clear(d[12:])
 	binary.LittleEndian.PutUint32(d[12:], metaMagic)
 	binary.LittleEndian.PutUint32(d[16:], e.hwm)
 	binary.LittleEndian.PutUint16(d[20:], uint16(len(e.order)))

@@ -136,7 +136,7 @@ func (tx *Txn) Commit() error {
 
 	// 1. Apply to trees under no-steal protection.
 	e.applying = true
-	e.txnPages = make(map[uint32]bool)
+	clear(e.txnPages)
 	fail := func(err error) error {
 		e.applying = false
 		e.mu.Unlock(t)
@@ -160,7 +160,7 @@ func (tx *Txn) Commit() error {
 	}
 
 	// 2. Redo: full images of dirtied pages, then the commit record.
-	rec := make([]byte, 5+e.cfg.PageSize)
+	rec := e.redoRec
 	dirtied := make([]uint32, 0, len(e.txnPages))
 	for pageNo := range e.txnPages {
 		dirtied = append(dirtied, pageNo)
@@ -190,7 +190,7 @@ func (tx *Txn) Commit() error {
 	// transaction lock so the next session can apply while we sync.
 	e.protect(dirtied)
 	e.applying = false
-	e.txnPages = make(map[uint32]bool)
+	clear(e.txnPages)
 	e.gcMu.Lock(t)
 	e.gcUnsynced++
 	e.gcMu.Unlock(t)

@@ -107,6 +107,7 @@ type DB struct {
 	mu sim.Mutex // database latch: pool, heap layout, WAL append order
 
 	loggedSinceCkpt map[uint32]bool // FPW first-touch set
+	imageRec        []byte          // FPW page-image record scratch (5+PageSize), under mu
 	txnsSinceCkpt   int
 
 	// Apply-phase dirty tracking and refcounted no-steal pins, as in the
@@ -196,6 +197,7 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*DB, error)
 	db := &DB{
 		fs: fs, logDev: logDev, cfg: cfg,
 		loggedSinceCkpt: make(map[uint32]bool),
+		imageRec:        make([]byte, 5+cfg.PageSize),
 		txnPages:        make(map[uint32]bool),
 		protected:       make(map[uint32]int),
 	}
@@ -545,6 +547,26 @@ func (db *DB) groupSync(t *sim.Task, myLSN int64) error {
 	return err
 }
 
+// logFirstImage WAL-logs a full image of pageNo on its first touch since
+// the last checkpoint when FPW is on. The record is built in db.imageRec,
+// reused under db.mu; Log.Append copies it.
+func (db *DB) logFirstImage(t *sim.Task, pageNo uint32, data []byte) error {
+	if db.cfg.Mode != FPWOn || db.loggedSinceCkpt[pageNo] {
+		return nil
+	}
+	rec := db.imageRec
+	rec[0] = pgRecImage
+	binary.LittleEndian.PutUint32(rec[1:], pageNo)
+	copy(rec[5:], data)
+	if _, err := db.log.Append(t, rec); err != nil {
+		return err
+	}
+	db.loggedSinceCkpt[pageNo] = true
+	atomic.AddInt64(&db.st.FullImages, 1)
+	atomic.AddInt64(&db.st.WALRecords, 1)
+	return nil
+}
+
 // updateTuple adds delta to the 8-byte balance of row in the table whose
 // pages start at base, WAL-logging the change (and a full page image on
 // first touch when FPW is on).
@@ -558,21 +580,11 @@ func (db *DB) updateTuple(t *sim.Task, base uint32, row int, delta int64) error 
 	cur := int64(binary.LittleEndian.Uint64(f.Data[off:]))
 	binary.LittleEndian.PutUint64(f.Data[off:], uint64(cur+delta))
 	f.MarkDirty()
-
-	if db.cfg.Mode == FPWOn && !db.loggedSinceCkpt[pageNo] {
-		rec := make([]byte, 5+db.cfg.PageSize)
-		rec[0] = pgRecImage
-		binary.LittleEndian.PutUint32(rec[1:], pageNo)
-		copy(rec[5:], f.Data)
-		if _, err := db.log.Append(t, rec); err != nil {
-			f.Release()
-			return err
-		}
-		db.loggedSinceCkpt[pageNo] = true
-		atomic.AddInt64(&db.st.FullImages, 1)
-		atomic.AddInt64(&db.st.WALRecords, 1)
-	}
+	err = db.logFirstImage(t, pageNo, f.Data)
 	f.Release()
+	if err != nil {
+		return err
+	}
 
 	rec := make([]byte, 1+4+2+2+8)
 	rec[0] = pgRecDelta
@@ -619,20 +631,11 @@ func (db *DB) insertHistory(t *sim.Task, v uint64) error {
 	}
 	binary.LittleEndian.PutUint64(f.Data[off:], v)
 	f.MarkDirty()
-	if db.cfg.Mode == FPWOn && !db.loggedSinceCkpt[pageNo] {
-		rec := make([]byte, 5+db.cfg.PageSize)
-		rec[0] = pgRecImage
-		binary.LittleEndian.PutUint32(rec[1:], pageNo)
-		copy(rec[5:], f.Data)
-		if _, err := db.log.Append(t, rec); err != nil {
-			f.Release()
-			return err
-		}
-		db.loggedSinceCkpt[pageNo] = true
-		atomic.AddInt64(&db.st.FullImages, 1)
-		atomic.AddInt64(&db.st.WALRecords, 1)
-	}
+	err = db.logFirstImage(t, pageNo, f.Data)
 	f.Release()
+	if err != nil {
+		return err
+	}
 	rec := make([]byte, 17)
 	rec[0] = pgRecDelta
 	binary.LittleEndian.PutUint32(rec[1:], pageNo)
@@ -683,7 +686,7 @@ func (db *DB) Txn(t *sim.Task, p TxnParams) error {
 func (db *DB) runTxn(t *sim.Task, p TxnParams) error {
 	db.mu.Lock(t)
 	db.applying = true
-	db.txnPages = make(map[uint32]bool)
+	clear(db.txnPages)
 	fail := func(err error) error {
 		db.applying = false
 		db.mu.Unlock(t)
@@ -718,7 +721,7 @@ func (db *DB) runTxn(t *sim.Task, p TxnParams) error {
 	}
 	db.protect(dirtied)
 	db.applying = false
-	db.txnPages = make(map[uint32]bool)
+	clear(db.txnPages)
 	db.gcMu.Lock(t)
 	db.gcUnsynced++
 	db.gcMu.Unlock(t)

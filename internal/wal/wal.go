@@ -51,6 +51,7 @@ type Log struct {
 	head    atomic.Uint32 // slot holding the current (partial) page
 	seq     uint64        // page sequence number (latch only)
 	pending []byte        // stream bytes not yet part of a full page (latch only)
+	page    []byte        // emit scratch page, reused for every program (latch only)
 	lsn     atomic.Int64  // next record LSN (monotonic record counter)
 	durable atomic.Int64  // highest LSN guaranteed durable
 	written atomic.Int64  // page writes issued
@@ -65,7 +66,8 @@ func New(dev *ssd.Device, start, pages uint32) (*Log, error) {
 	if pages < 2 {
 		return nil, fmt.Errorf("wal: need at least 2 pages")
 	}
-	return &Log{dev: dev, start: start, pages: pages, pageSize: dev.PageSize(), stream: -1}, nil
+	ps := dev.PageSize()
+	return &Log{dev: dev, start: start, pages: pages, pageSize: ps, stream: -1, page: make([]byte, ps)}, nil
 }
 
 // SetStream pins every log page write to one device write stream, so a
@@ -98,35 +100,51 @@ func (l *Log) Append(t *sim.Task, rec []byte) (int64, error) {
 	l.pending = append(l.pending, hdr[:]...)
 	l.pending = append(l.pending, rec...)
 	l.bytes.Add(int64(len(rec)))
-	// Emit full pages eagerly.
-	for len(l.pending) >= l.capacityPerPage() {
-		if err := l.emit(t, l.capacityPerPage(), true); err != nil {
-			return 0, err
+	// Emit full pages eagerly, then compact the unemitted rest to the
+	// front in place so the backing array is reused by later appends.
+	cpp := l.capacityPerPage()
+	off := 0
+	var err error
+	for len(l.pending)-off >= cpp {
+		if err = l.emit(t, l.pending[off:off+cpp], true); err != nil {
+			break
 		}
+		off += cpp
+	}
+	if off > 0 {
+		l.pending = l.pending[:copy(l.pending, l.pending[off:])]
+	}
+	if err != nil {
+		return 0, err
 	}
 	return l.lsn.Add(1) - 1, nil
 }
 
-// emit writes the first n pending bytes into the current slot. advance
-// moves to the next slot (used when the page is full); otherwise the slot
-// will be rewritten by later emits (partial sync of the tail page).
-func (l *Log) emit(t *sim.Task, n int, advance bool) error {
+// emit writes data (at most one page of stream bytes) into the current
+// slot. advance moves to the next slot (used when the page is full);
+// otherwise the slot will be rewritten by later emits (partial sync of the
+// tail page).
+//
+// The page image is built in l.page, reused under the latch: the device
+// programs synchronously and the chip copies the payload, so nothing
+// retains the buffer once WritePageStream returns. Bytes past used are
+// cleared, so every programmed page is the same as a freshly zeroed one.
+func (l *Log) emit(t *sim.Task, data []byte, advance bool) error {
 	head := l.head.Load()
 	if head >= l.pages {
 		return ErrFull
 	}
-	buf := make([]byte, l.pageSize)
+	buf := l.page
 	l.seq++
 	binary.LittleEndian.PutUint32(buf[0:], pageMagic)
 	binary.LittleEndian.PutUint64(buf[4:], l.seq)
-	binary.LittleEndian.PutUint32(buf[12:], uint32(n))
-	copy(buf[pageHdr:], l.pending[:n])
+	binary.LittleEndian.PutUint32(buf[12:], uint32(len(data)))
+	clear(buf[pageHdr+copy(buf[pageHdr:], data):])
 	if err := l.dev.WritePageStream(t, l.start+head, buf, l.stream); err != nil {
 		return err
 	}
 	l.written.Add(1)
 	if advance {
-		l.pending = l.pending[n:]
 		l.head.Store(head + 1)
 	}
 	return nil
@@ -140,7 +158,7 @@ func (l *Log) Sync(t *sim.Task) error {
 	l.latch.Lock(t)
 	defer l.latch.Unlock(t)
 	if len(l.pending) > 0 {
-		if err := l.emit(t, len(l.pending), false); err != nil {
+		if err := l.emit(t, l.pending, false); err != nil {
 			return err
 		}
 	}
@@ -161,7 +179,7 @@ func (l *Log) Truncate(t *sim.Task) error {
 		return err
 	}
 	l.head.Store(0)
-	l.pending = nil
+	l.pending = l.pending[:0]
 	return nil
 }
 
