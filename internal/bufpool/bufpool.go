@@ -1,14 +1,18 @@
 // Package bufpool implements the database buffer pool: a fixed number of
 // page frames cached over a file, with LRU replacement, pin counts, a
-// dirty (flush) list, and a pluggable batch flusher so the engine decides
-// *how* dirty pages reach storage — in place (DWB-Off), through the
-// doublewrite buffer (DWB-On), or via a doublewrite plus SHARE remap.
+// dirty (flush) list, the no-steal state of the engines' commit protocol
+// (the open transaction's dirty set and refcounted page pins), and a
+// pluggable batch flusher so the engine decides *how* dirty pages reach
+// storage — in place (DWB-Off), through the doublewrite buffer (DWB-On),
+// or via a doublewrite plus SHARE remap.
 package bufpool
 
 import (
 	"container/list"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"share/internal/fsim"
 	"share/internal/sim"
@@ -50,13 +54,6 @@ type Pool struct {
 	// FlushBatchSize is how many dirty pages are flushed together when
 	// eviction or a checkpoint needs clean frames (the doublewrite batch).
 	FlushBatchSize int
-	// Protected, when set, excludes pages from FlushSome — the engine's
-	// no-steal guard for pages dirtied by the transaction being applied.
-	Protected func(pageNo uint32) bool
-	// OnDirty, when set, is called each time a frame is marked dirty; the
-	// engine uses it to collect the pages a transaction touched so their
-	// images can be logged at commit.
-	OnDirty func(pageNo uint32)
 	// MissOverlay, when set, is consulted on a cache miss before the file:
 	// a non-nil return supplies the page content. WAL-style engines use it
 	// to serve pages whose newest version lives in the log, not the file.
@@ -72,6 +69,17 @@ type Pool struct {
 	// its final content — the fill point of a flash-extended cache. The
 	// callback must not retain data.
 	OnEvict func(t *sim.Task, pageNo uint32, data []byte)
+
+	// No-steal state: FlushSome (and so eviction) skips pages in either.
+	// txn is the open transaction's dirty set (BeginTxn..EndTxn), guarded
+	// like the rest of the pool by the engine's latch. pinned holds
+	// refcounted pins that outlive that latch — a commit keeps its pages
+	// pinned while its log record awaits the group sync — so it has its
+	// own leaf lock.
+	txnOpen bool
+	txn     map[uint32]struct{}
+	pinMu   sync.Mutex
+	pinned  map[uint32]int
 
 	// Stats.
 	hits, misses int64
@@ -91,6 +99,8 @@ func New(file *fsim.File, pageSize, capacity int, flusher Flusher) (*Pool, error
 		flusher:        flusher,
 		frames:         make(map[uint32]*Frame),
 		lru:            list.New(),
+		txn:            make(map[uint32]struct{}),
+		pinned:         make(map[uint32]int),
 		FlushBatchSize: 32,
 	}, nil
 }
@@ -188,13 +198,14 @@ func (p *Pool) cleanVictim() *Frame {
 }
 
 // FlushSome flushes up to n dirty unpinned pages (LRU-first) through the
-// engine's Flusher as one batch.
+// engine's Flusher as one batch, skipping the open transaction's pages and
+// pages held by PinPages.
 func (p *Pool) FlushSome(t *sim.Task, n int) error {
 	var batch []PageImage
 	var frames []*Frame
 	for e := p.lru.Back(); e != nil && len(batch) < n; e = e.Prev() {
 		f := e.Value.(*Frame)
-		if f.dirty && f.pins == 0 && (p.Protected == nil || !p.Protected(f.pageNo)) {
+		if f.dirty && f.pins == 0 && !p.noSteal(f.pageNo) {
 			batch = append(batch, PageImage{PageNo: f.pageNo, Data: f.Data})
 			frames = append(frames, f)
 		}
@@ -209,7 +220,9 @@ func (p *Pool) FlushSome(t *sim.Task, n int) error {
 	return nil
 }
 
-// FlushAll flushes every dirty page (checkpoint).
+// FlushAll flushes every dirty page (checkpoint), including the open
+// transaction's and pinned pages: a checkpoint runs only once the engine
+// has made their log records durable.
 func (p *Pool) FlushAll(t *sim.Task) error {
 	for {
 		var batch []PageImage
@@ -267,8 +280,8 @@ func (f *Frame) MarkDirty() {
 		f.dirty = true
 		f.pool.dirty++
 	}
-	if f.pool.OnDirty != nil {
-		f.pool.OnDirty(f.pageNo)
+	if f.pool.txnOpen {
+		f.pool.txn[f.pageNo] = struct{}{}
 	}
 }
 
@@ -278,6 +291,65 @@ func (f *Frame) Release() {
 		panic("bufpool: release of unpinned frame")
 	}
 	f.pins--
+}
+
+// BeginTxn opens a transaction's dirty set: every page marked dirty until
+// EndTxn joins it and is not flushed by FlushSome or eviction meanwhile
+// (no-steal), so no subset of an unlogged transaction reaches storage.
+func (p *Pool) BeginTxn() { p.txnOpen = true }
+
+// TxnPages appends the open transaction's dirty set to dst in ascending
+// page order and returns the extended slice.
+func (p *Pool) TxnPages(dst []uint32) []uint32 {
+	dst = slices.Grow(dst, len(p.txn))
+	start := len(dst)
+	for pageNo := range p.txn {
+		dst = append(dst, pageNo)
+	}
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// EndTxn closes the transaction's dirty set; its pages become flushable
+// unless PinPages holds them.
+func (p *Pool) EndTxn() {
+	p.txnOpen = false
+	clear(p.txn)
+}
+
+// PinPages holds pages against FlushSome and eviction until UnpinPages.
+// These no-steal pins are refcounted (concurrent commits may share a
+// page), separate from the frame pins of Get/Release, and safe to take
+// and drop without the engine latch. FlushAll ignores them.
+func (p *Pool) PinPages(pages []uint32) {
+	p.pinMu.Lock()
+	for _, pageNo := range pages {
+		p.pinned[pageNo]++
+	}
+	p.pinMu.Unlock()
+}
+
+// UnpinPages drops the pins taken by PinPages.
+func (p *Pool) UnpinPages(pages []uint32) {
+	p.pinMu.Lock()
+	for _, pageNo := range pages {
+		if p.pinned[pageNo]--; p.pinned[pageNo] <= 0 {
+			delete(p.pinned, pageNo)
+		}
+	}
+	p.pinMu.Unlock()
+}
+
+// noSteal reports whether FlushSome must skip pageNo.
+func (p *Pool) noSteal(pageNo uint32) bool {
+	if p.txnOpen {
+		if _, ok := p.txn[pageNo]; ok {
+			return true
+		}
+	}
+	p.pinMu.Lock()
+	defer p.pinMu.Unlock()
+	return p.pinned[pageNo] > 0
 }
 
 func (p *Pool) overlay(pageNo uint32) []byte {

@@ -35,16 +35,15 @@ func (f *failingFlusher) FlushBatch(t *sim.Task, pages []PageImage) error {
 }
 
 // TestDirtyCountMatchesRecount drives a seeded random mix of pins, repeat
-// MarkDirty calls, releases, protected partial flushes, checkpoints,
-// CleanAll and Drop over more pages than the pool holds (so misses evict
-// and force flushes), and checks after every step that the O(1) counter
-// equals a recount over the frames.
+// MarkDirty calls, releases, partial flushes around no-steal page pins,
+// checkpoints, CleanAll and Drop over more pages than the pool holds (so
+// misses evict and force flushes), and checks after every step that the
+// O(1) counter equals a recount over the frames.
 func TestDirtyCountMatchesRecount(t *testing.T) {
 	const pages = 24
 	pool, _, task := testPool(t, 6)
 	rng := rand.New(rand.NewSource(7))
-	protected := map[uint32]bool{}
-	pool.Protected = func(pageNo uint32) bool { return protected[pageNo] }
+	var pinned []uint32
 	var held []*Frame
 	releaseAll := func() {
 		for _, f := range held {
@@ -84,10 +83,12 @@ func TestDirtyCountMatchesRecount(t *testing.T) {
 				held = append(held[:i], held[i+1:]...)
 			}
 		case op < 16:
-			protected = map[uint32]bool{}
+			pool.UnpinPages(pinned)
+			pinned = pinned[:0]
 			for i := 0; i < 3; i++ {
-				protected[uint32(rng.Intn(pages))] = true
+				pinned = append(pinned, uint32(rng.Intn(pages)))
 			}
+			pool.PinPages(pinned)
 			if err := pool.FlushSome(task, 1+rng.Intn(4)); err != nil {
 				t.Fatalf("step %d: FlushSome: %v", step, err)
 			}

@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"share/internal/btree"
@@ -152,18 +151,15 @@ const metaMagic = 0x494E4D54 // "INMT"
 //
 // Concurrency and locking hierarchy (acquire downward, never upward):
 //
-//	e.mu (transaction latch) → e.gcMu (group-commit state)
+//	e.mu (transaction latch) → the log's group-commit state
 //	e.mu → fs latch / wal latch → sim resources
-//	e.protMu / atomics — leaf locks, no yields underneath
-//
-// Nothing acquires e.mu while holding gcMu; the commit path releases
-// e.mu before joining the group-commit rendezvous so the log fsync
-// overlaps other sessions' apply phases (checkpointLocked's drain takes
-// gcMu under e.mu, which the hierarchy permits).
+//	the pool's page pins / atomics — leaf locks, no yields underneath
 //
 // A session holds e.mu from Begin through apply and redo append, then
-// releases it and joins the group-commit pipeline (gcMu/gcCond), so the
-// expensive log fsync overlaps the next session's apply phase.
+// releases it and joins the log's group-commit rendezvous
+// (wal.Log.GroupSync), so the expensive log fsync overlaps the next
+// session's apply phase. checkpointLocked drains that rendezvous under
+// e.mu, which the hierarchy permits.
 type Engine struct {
 	fs     *fsim.FS
 	file   *fsim.File
@@ -182,30 +178,8 @@ type Engine struct {
 	dwbSeq uint64
 
 	// Redo bookkeeping, guarded by e.mu.
-	txnPages        map[uint32]bool // pages dirtied by the txn being applied (no-steal)
-	redoRec         []byte          // commit's page-image record scratch (5+PageSize); Log.Append copies it
-	applying        bool
+	redoRec         []byte // commit's page-image record scratch (5+PageSize); Log.Append copies it
 	imagesSinceCkpt int
-
-	// Group commit: transactions that appended their commit record release
-	// e.mu and rendezvous here. The first becomes the leader and issues one
-	// log sync for every record appended so far; the rest wait for its
-	// broadcast. gcUnsynced counts commits between append and durability —
-	// checkpoints drain it before truncating redo.
-	gcMu       sim.Mutex
-	gcCond     sim.Cond // broadcast after each completed sync attempt
-	gcDrain    sim.Cond // broadcast when gcUnsynced drops to zero
-	gcSyncing  bool     // a leader's sync is in flight
-	gcDurable  int64    // log LSN horizon made durable by group syncs
-	gcGen      uint64   // completed sync attempts (failure detection)
-	gcErr      error    // outcome of the most recent sync attempt
-	gcUnsynced int      // commits appended but not yet durable
-
-	// protected holds refcounted no-steal pins: pages applied by a commit
-	// whose record is not yet durable. It outlives e.mu (released only
-	// after the group sync), so it has its own leaf lock.
-	protMu    sync.Mutex
-	protected map[uint32]int
 
 	// degraded is latched when a device write fails with ftl.ErrReadOnly;
 	// from then on mutating operations fail fast with ErrReadOnly while
@@ -235,8 +209,8 @@ type Stats struct {
 	TornRestored int64 // pages restored from the DWB at recovery
 	RedoApplied  int64 // page images applied at recovery
 
-	GroupCommits int64 // log syncs issued by group-commit leaders
-	GroupedTxns  int64 // commits that rode another transaction's sync
+	GroupCommits int64 // log syncs issued by group-commit leaders (wal.Log.GroupSyncs)
+	GroupedTxns  int64 // commits that rode another transaction's sync (wal.Log.GroupedCommits)
 
 	ReadOnlyTransitions int64 // device degradations observed (0 or 1)
 	Degraded            bool  // gauge: engine is serving read-only
@@ -256,14 +230,12 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*Engine, er
 		return nil, err
 	}
 	e := &Engine{
-		fs:        fs,
-		logDev:    logDev,
-		cfg:       cfg,
-		tables:    make(map[string]*Table),
-		txnPages:  make(map[uint32]bool),
-		redoRec:   make([]byte, 5+cfg.PageSize),
-		protected: make(map[uint32]int),
-		hwm:       1,
+		fs:      fs,
+		logDev:  logDev,
+		cfg:     cfg,
+		tables:  make(map[string]*Table),
+		redoRec: make([]byte, 5+cfg.PageSize),
+		hwm:     1,
 	}
 	log, err := wal.New(logDev, 0, cfg.LogPages)
 	if err != nil {
@@ -312,14 +284,6 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*Engine, er
 		return nil, err
 	}
 	pool.FlushBatchSize = cfg.DWBPages
-	pool.Protected = func(pageNo uint32) bool {
-		return (e.applying && e.txnPages[pageNo]) || e.pinned(pageNo)
-	}
-	pool.OnDirty = func(pageNo uint32) {
-		if e.applying {
-			e.txnPages[pageNo] = true
-		}
-	}
 	e.pool = pool
 
 	if existing {
@@ -533,8 +497,8 @@ func (e *Engine) Stats() Stats {
 	st.Checkpoints = atomic.LoadInt64(&e.st.Checkpoints)
 	st.TornRestored = atomic.LoadInt64(&e.st.TornRestored)
 	st.RedoApplied = atomic.LoadInt64(&e.st.RedoApplied)
-	st.GroupCommits = atomic.LoadInt64(&e.st.GroupCommits)
-	st.GroupedTxns = atomic.LoadInt64(&e.st.GroupedTxns)
+	st.GroupCommits = e.log.GroupSyncs()
+	st.GroupedTxns = e.log.GroupedCommits()
 	st.ReadOnlyTransitions = atomic.LoadInt64(&e.st.ReadOnlyTransitions)
 	st.Degraded = e.degraded.Load()
 	if e.cache != nil {
@@ -565,85 +529,6 @@ func (e *Engine) noteDeviceErr(err error) error {
 	return ErrReadOnly
 }
 
-// pinned reports whether pageNo carries a no-steal pin from a commit
-// whose record is not yet durable.
-func (e *Engine) pinned(pageNo uint32) bool {
-	e.protMu.Lock()
-	defer e.protMu.Unlock()
-	return e.protected[pageNo] > 0
-}
-
-// protect pins pages against stealing until unprotect. Pins are
-// refcounted: concurrent commits may dirty the same page.
-func (e *Engine) protect(pages []uint32) {
-	e.protMu.Lock()
-	for _, p := range pages {
-		e.protected[p]++
-	}
-	e.protMu.Unlock()
-}
-
-// unprotect drops the pins taken by protect.
-func (e *Engine) unprotect(pages []uint32) {
-	e.protMu.Lock()
-	for _, p := range pages {
-		if e.protected[p]--; e.protected[p] <= 0 {
-			delete(e.protected, p)
-		}
-	}
-	e.protMu.Unlock()
-}
-
-// groupSync makes the commit record at myLSN durable, coalescing with
-// concurrent commits: the first arrival becomes the leader and issues one
-// log sync covering every record appended so far; later arrivals wait for
-// its broadcast and only sync themselves if the leader's flush predates
-// their append. Called without e.mu, so the fsync overlaps other
-// sessions' apply phases. Returns the outcome of the sync that covered
-// (or failed) this transaction.
-func (e *Engine) groupSync(t *sim.Task, myLSN int64) error {
-	e.gcMu.Lock(t)
-	grouped := false
-	var err error
-	for err == nil && e.gcDurable <= myLSN {
-		if e.gcSyncing {
-			grouped = true
-			gen := e.gcGen
-			e.gcCond.Wait(t, &e.gcMu)
-			if e.gcGen != gen && e.gcErr != nil && e.gcDurable <= myLSN {
-				err = e.gcErr
-			}
-			continue
-		}
-		e.gcSyncing = true
-		e.gcMu.Unlock(t)
-		serr := e.log.Sync(t)
-		durable := e.log.DurableLSN()
-		e.gcMu.Lock(t)
-		e.gcSyncing = false
-		e.gcGen++
-		e.gcErr = serr
-		if serr == nil {
-			if durable > e.gcDurable {
-				e.gcDurable = durable
-			}
-			atomic.AddInt64(&e.st.GroupCommits, 1)
-		} else {
-			err = serr
-		}
-		e.gcCond.Broadcast(t)
-	}
-	if grouped && err == nil {
-		atomic.AddInt64(&e.st.GroupedTxns, 1)
-	}
-	e.gcUnsynced--
-	if e.gcUnsynced == 0 {
-		e.gcDrain.Broadcast(t)
-	}
-	e.gcMu.Unlock(t)
-	return err
-}
-
 // Pool exposes buffer pool statistics.
 func (e *Engine) Pool() *bufpool.Pool { return e.pool }
 
@@ -660,19 +545,13 @@ func (e *Engine) Checkpoint(t *sim.Task) error {
 }
 
 // checkpointLocked is Checkpoint with e.mu already held. It first drains
-// in-flight group commits: their records must be durable before the redo
-// log is truncated underneath them. The drain cannot deadlock — every
-// unsynced commit released e.mu before joining groupSync, and holding
-// e.mu here stops new commits from appending, so gcUnsynced only falls.
+// in-flight group commits (wal.Log.Drain): their records must be durable
+// before the redo log is truncated underneath them.
 func (e *Engine) checkpointLocked(t *sim.Task) error {
 	if e.degraded.Load() {
 		return ErrReadOnly
 	}
-	e.gcMu.Lock(t)
-	for e.gcUnsynced > 0 {
-		e.gcDrain.Wait(t, &e.gcMu)
-	}
-	e.gcMu.Unlock(t)
+	e.log.Drain(t)
 	if err := e.pool.FlushAll(t); err != nil {
 		return e.noteDeviceErr(err)
 	}

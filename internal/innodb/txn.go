@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"share/internal/sim"
@@ -92,19 +91,21 @@ func (tx *Txn) Scan(tb *Table, start, end []byte, fn func(k, v []byte) bool) err
 
 // Commit makes the transaction durable and visible:
 //
-//  1. apply the buffered writes to the trees (pages dirtied here are
-//     protected from flushing — no-steal);
+//  1. apply the buffered writes to the trees inside the pool's
+//     transaction dirty set, so no page dirtied here is flushed
+//     (no-steal, bufpool.Pool.BeginTxn);
 //  2. log a full image of every page the transaction dirtied (first
 //     write of redo), then a commit record;
 //  3. release the transaction lock and join the group-commit rendezvous:
 //     one leader fsyncs the log for every commit record appended so far,
-//     so concurrent sessions share a single flush (see Engine.groupSync);
+//     so concurrent sessions share a single flush (wal.Log.GroupSync);
 //  4. once the record is durable, release the no-steal pins.
 //
-// The dirtied pages stay pinned (refcounted, via e.protect) across the
-// group sync: another session holding e.mu may trigger an adaptive flush
-// while this commit awaits durability, and stealing a subset of this
-// transaction's pages would put a torn transaction on disk.
+// The dirtied pages stay pinned (refcounted, via bufpool.Pool.PinPages)
+// across the group sync: another session holding e.mu may trigger an
+// adaptive flush while this commit awaits durability, and stealing a
+// subset of this transaction's pages would put a torn transaction on
+// disk.
 //
 // A crash before the commit record is durable leaves no trace: dirty
 // pages never reached the tablespace. A crash after it is replayed from
@@ -135,10 +136,9 @@ func (tx *Txn) Commit() error {
 	}
 
 	// 1. Apply to trees under no-steal protection.
-	e.applying = true
-	clear(e.txnPages)
+	e.pool.BeginTxn()
 	fail := func(err error) error {
-		e.applying = false
+		e.pool.EndTxn()
 		e.mu.Unlock(t)
 		return err
 	}
@@ -161,11 +161,7 @@ func (tx *Txn) Commit() error {
 
 	// 2. Redo: full images of dirtied pages, then the commit record.
 	rec := e.redoRec
-	dirtied := make([]uint32, 0, len(e.txnPages))
-	for pageNo := range e.txnPages {
-		dirtied = append(dirtied, pageNo)
-	}
-	sort.Slice(dirtied, func(i, j int) bool { return dirtied[i] < dirtied[j] })
+	dirtied := e.pool.TxnPages(nil)
 	for _, pageNo := range dirtied {
 		f, err := e.pool.Get(t, pageNo)
 		if err != nil {
@@ -185,22 +181,19 @@ func (tx *Txn) Commit() error {
 		return fail(e.noteDeviceErr(err))
 	}
 
-	// 3. Hand the pages over to the refcounted pin set (it outlives e.mu),
-	// register with the group-commit drain counter, and release the
-	// transaction lock so the next session can apply while we sync.
-	e.protect(dirtied)
-	e.applying = false
-	clear(e.txnPages)
-	e.gcMu.Lock(t)
-	e.gcUnsynced++
-	e.gcMu.Unlock(t)
+	// 3. Hand the pages over to the refcounted pins (they outlive e.mu),
+	// enlist with the log's group commit, and release the transaction
+	// lock so the next session can apply while we sync.
+	e.pool.PinPages(dirtied)
+	e.pool.EndTxn()
+	e.log.Enlist(t)
 	e.mu.Unlock(t)
 
-	err = e.groupSync(t, myLSN)
+	err = e.log.GroupSync(t, myLSN)
 
 	// 4. Durable (or failed): drop the no-steal pins either way — on a
 	// failed sync the engine degrades and nothing flushes anymore.
-	e.unprotect(dirtied)
+	e.pool.UnpinPages(dirtied)
 	if err != nil {
 		return e.noteDeviceErr(err)
 	}

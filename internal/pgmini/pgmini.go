@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"share/internal/bufpool"
@@ -81,12 +80,13 @@ const (
 //
 // Concurrency: a database latch (db.mu) serializes the transaction apply
 // phase — heap updates, WAL appends and the commit record. Sessions then
-// release the latch and rendezvous at the group-commit state (gcMu): one
-// leader fsyncs the WAL for every commit record appended so far, so the
-// flush overlaps the next session”s apply, exactly as in the innodb
-// engine. Pages dirtied by a transaction stay pinned (refcounted,
-// no-steal) until its commit record is durable — PostgreSQL proper
-// enforces the same WAL-before-data rule via page LSNs.
+// release the latch and meet in the log's group-commit rendezvous
+// (wal.Log.GroupSync): one leader fsyncs the WAL for every commit record
+// appended so far, so the flush overlaps the next session's apply,
+// exactly as in the innodb engine. Pages dirtied by a transaction stay
+// pinned (bufpool.Pool.PinPages, refcounted, no-steal) until its commit
+// record is durable — PostgreSQL proper enforces the same WAL-before-data
+// rule via page LSNs.
 type DB struct {
 	fs      *fsim.FS
 	file    *fsim.File
@@ -109,23 +109,6 @@ type DB struct {
 	loggedSinceCkpt map[uint32]bool // FPW first-touch set
 	imageRec        []byte          // FPW page-image record scratch (5+PageSize), under mu
 	txnsSinceCkpt   int
-
-	// Apply-phase dirty tracking and refcounted no-steal pins, as in the
-	// innodb engine (see Engine.protect).
-	applying  bool
-	txnPages  map[uint32]bool
-	protMu    sync.Mutex
-	protected map[uint32]int
-
-	// Group commit rendezvous (see (*DB).groupSync).
-	gcMu       sim.Mutex
-	gcCond     sim.Cond
-	gcDrain    sim.Cond
-	gcSyncing  bool
-	gcDurable  int64
-	gcGen      uint64
-	gcErr      error
-	gcUnsynced int
 
 	// Background, when set, is the task checkpoint and background-writer
 	// flushes are charged to — PostgreSQL's checkpointer runs alongside
@@ -150,8 +133,8 @@ type Stats struct {
 	Checkpoints      int64
 	DataPagesFlushed int64
 
-	GroupCommits int64 // WAL syncs issued by group-commit leaders
-	GroupedTxns  int64 // commits that rode another session's sync
+	GroupCommits int64 // WAL syncs issued by group-commit leaders (wal.Log.GroupSyncs)
+	GroupedTxns  int64 // commits that rode another session's sync (wal.Log.GroupedCommits)
 
 	WALReadTruncations  int64 // WAL scans cut short by unrecoverable read faults
 	ReadOnlyTransitions int64 // device degradations observed (0 or 1)
@@ -198,8 +181,6 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*DB, error)
 		fs: fs, logDev: logDev, cfg: cfg,
 		loggedSinceCkpt: make(map[uint32]bool),
 		imageRec:        make([]byte, 5+cfg.PageSize),
-		txnPages:        make(map[uint32]bool),
-		protected:       make(map[uint32]int),
 	}
 	db.perPage = (cfg.PageSize - pageHdrSize) / tupleSize
 	db.branches = branchesPerScale * cfg.Scale
@@ -261,19 +242,6 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*DB, error)
 	pool, err := bufpool.New(file, cfg.PageSize, int(cfg.PoolBytes/int64(cfg.PageSize)), &pgFlusher{db: db})
 	if err != nil {
 		return nil, err
-	}
-	pool.Protected = func(pageNo uint32) bool {
-		if db.applying && db.txnPages[pageNo] {
-			return true
-		}
-		db.protMu.Lock()
-		defer db.protMu.Unlock()
-		return db.protected[pageNo] > 0
-	}
-	pool.OnDirty = func(pageNo uint32) {
-		if db.applying {
-			db.txnPages[pageNo] = true
-		}
 	}
 	db.pool = pool
 	if existing {
@@ -456,16 +424,10 @@ func (db *DB) noteDeviceErr(err error) error {
 func (db *DB) Degraded() bool { return db.degraded.Load() }
 
 // checkpoint runs with db.mu held. It first drains in-flight group
-// commits: their WAL records must be durable before the ring is
-// truncated underneath them. The drain cannot deadlock — every unsynced
-// commit released db.mu before joining groupSync, and holding db.mu here
-// stops new commits from appending, so gcUnsynced only falls.
+// commits (wal.Log.Drain, on walTask): their WAL records must be durable
+// before the ring is truncated underneath them.
 func (db *DB) checkpoint(dataTask, walTask *sim.Task) error {
-	db.gcMu.Lock(walTask)
-	for db.gcUnsynced > 0 {
-		db.gcDrain.Wait(walTask, &db.gcMu)
-	}
-	db.gcMu.Unlock(walTask)
+	db.log.Drain(walTask)
 	if err := db.pool.FlushAll(dataTask); err != nil {
 		return err
 	}
@@ -479,72 +441,6 @@ func (db *DB) checkpoint(dataTask, walTask *sim.Task) error {
 	db.txnsSinceCkpt = 0
 	atomic.AddInt64(&db.st.Checkpoints, 1)
 	return nil
-}
-
-// protect pins pages against stealing until unprotect (refcounted).
-func (db *DB) protect(pages []uint32) {
-	db.protMu.Lock()
-	for _, p := range pages {
-		db.protected[p]++
-	}
-	db.protMu.Unlock()
-}
-
-// unprotect drops the pins taken by protect.
-func (db *DB) unprotect(pages []uint32) {
-	db.protMu.Lock()
-	for _, p := range pages {
-		if db.protected[p]--; db.protected[p] <= 0 {
-			delete(db.protected, p)
-		}
-	}
-	db.protMu.Unlock()
-}
-
-// groupSync makes the WAL record at myLSN durable, coalescing with
-// concurrent commits (leader/follower rendezvous — see the innodb
-// engine's groupSync for the protocol discussion).
-func (db *DB) groupSync(t *sim.Task, myLSN int64) error {
-	db.gcMu.Lock(t)
-	grouped := false
-	var err error
-	for err == nil && db.gcDurable <= myLSN {
-		if db.gcSyncing {
-			grouped = true
-			gen := db.gcGen
-			db.gcCond.Wait(t, &db.gcMu)
-			if db.gcGen != gen && db.gcErr != nil && db.gcDurable <= myLSN {
-				err = db.gcErr
-			}
-			continue
-		}
-		db.gcSyncing = true
-		db.gcMu.Unlock(t)
-		serr := db.log.Sync(t)
-		durable := db.log.DurableLSN()
-		db.gcMu.Lock(t)
-		db.gcSyncing = false
-		db.gcGen++
-		db.gcErr = serr
-		if serr == nil {
-			if durable > db.gcDurable {
-				db.gcDurable = durable
-			}
-			atomic.AddInt64(&db.st.GroupCommits, 1)
-		} else {
-			err = serr
-		}
-		db.gcCond.Broadcast(t)
-	}
-	if grouped && err == nil {
-		atomic.AddInt64(&db.st.GroupedTxns, 1)
-	}
-	db.gcUnsynced--
-	if db.gcUnsynced == 0 {
-		db.gcDrain.Broadcast(t)
-	}
-	db.gcMu.Unlock(t)
-	return err
 }
 
 // logFirstImage WAL-logs a full image of pageNo on its first touch since
@@ -685,10 +581,9 @@ func (db *DB) Txn(t *sim.Task, p TxnParams) error {
 
 func (db *DB) runTxn(t *sim.Task, p TxnParams) error {
 	db.mu.Lock(t)
-	db.applying = true
-	clear(db.txnPages)
+	db.pool.BeginTxn()
 	fail := func(err error) error {
-		db.applying = false
+		db.pool.EndTxn()
 		db.mu.Unlock(t)
 		return err
 	}
@@ -712,23 +607,17 @@ func (db *DB) runTxn(t *sim.Task, p TxnParams) error {
 		return fail(err)
 	}
 
-	// Hand the dirtied pages to the refcounted pin set (it outlives the
-	// latch), register with the drain counter, and release the latch so
-	// the next session applies while we sync.
-	dirtied := make([]uint32, 0, len(db.txnPages))
-	for pageNo := range db.txnPages {
-		dirtied = append(dirtied, pageNo)
-	}
-	db.protect(dirtied)
-	db.applying = false
-	clear(db.txnPages)
-	db.gcMu.Lock(t)
-	db.gcUnsynced++
-	db.gcMu.Unlock(t)
+	// Hand the dirtied pages to the refcounted pins (they outlive the
+	// latch), enlist with the log's group commit, and release the latch
+	// so the next session applies while we sync.
+	dirtied := db.pool.TxnPages(nil)
+	db.pool.PinPages(dirtied)
+	db.pool.EndTxn()
+	db.log.Enlist(t)
 	db.mu.Unlock(t)
 
-	err = db.groupSync(t, myLSN)
-	db.unprotect(dirtied)
+	err = db.log.GroupSync(t, myLSN)
+	db.pool.UnpinPages(dirtied)
 	if err != nil {
 		return err
 	}
@@ -763,8 +652,8 @@ func (db *DB) Stats() Stats {
 	s.FullImages = atomic.LoadInt64(&db.st.FullImages)
 	s.Checkpoints = atomic.LoadInt64(&db.st.Checkpoints)
 	s.DataPagesFlushed = atomic.LoadInt64(&db.st.DataPagesFlushed)
-	s.GroupCommits = atomic.LoadInt64(&db.st.GroupCommits)
-	s.GroupedTxns = atomic.LoadInt64(&db.st.GroupedTxns)
+	s.GroupCommits = db.log.GroupSyncs()
+	s.GroupedTxns = db.log.GroupedCommits()
 	s.ReadOnlyTransitions = atomic.LoadInt64(&db.st.ReadOnlyTransitions)
 	s.WALPages = db.log.PagesWritten()
 	s.WALReadTruncations = db.log.ReadTruncations()

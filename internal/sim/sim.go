@@ -274,17 +274,6 @@ func (m *Mutex) Lock(t *Task) {
 	m.sm.Unlock()
 }
 
-// TryLock acquires m if free and reports whether it did.
-func (m *Mutex) TryLock(t *Task) bool {
-	m.sm.Lock()
-	defer m.sm.Unlock()
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
-}
-
 // Unlock releases m and wakes every waiter, advancing their clocks to the
 // unlocking task's current time; they re-contend in virtual-clock order.
 func (m *Mutex) Unlock(t *Task) {

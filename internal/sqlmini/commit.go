@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"share/internal/btree"
 	"share/internal/fsim"
@@ -29,35 +29,26 @@ func checksum32(b []byte) uint32 {
 	return h
 }
 
-// dirtySorted returns the txn's dirty pages in ascending order.
-func (db *DB) dirtySorted() []uint32 {
-	out := make([]uint32, 0, len(db.txnPages))
-	for p := range db.txnPages {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// commit makes the finished transaction durable per the configured mode.
+// commit makes the finished transaction's dirty pages (ascending) durable
+// per the configured mode.
 func (db *DB) commit(t *sim.Task) error {
-	if len(db.txnPages) == 0 {
+	pages := db.pool.TxnPages(nil)
+	if len(pages) == 0 {
 		return nil
 	}
 	var err error
 	switch db.cfg.Mode {
 	case Rollback:
-		err = db.commitRollback(t)
+		err = db.commitRollback(t, pages)
 	case WAL:
-		err = db.commitWAL(t)
+		err = db.commitWAL(t, pages)
 	case Share:
-		err = db.commitShare(t)
+		err = db.commitShare(t, pages)
 	default:
 		err = fmt.Errorf("sqlmini: unknown mode %d", db.cfg.Mode)
 	}
 	if err == nil {
 		db.st.Commits++
-		db.txnPages = make(map[uint32]bool)
 	}
 	return err
 }
@@ -102,8 +93,7 @@ type groupFile interface {
 }
 
 // commitRollback: SQLite's classic three-sync protocol.
-func (db *DB) commitRollback(t *sim.Task) error {
-	pages := db.dirtySorted()
+func (db *DB) commitRollback(t *sim.Task, pages []uint32) error {
 	if len(pages)*4+20 > db.cfg.PageSize {
 		return fmt.Errorf("sqlmini: transaction touches %d pages; header overflow", len(pages))
 	}
@@ -147,8 +137,7 @@ func (db *DB) commitRollback(t *sim.Task) error {
 
 // commitWAL: one group append + one fsync; home pages stay stale until a
 // checkpoint.
-func (db *DB) commitWAL(t *sim.Task) error {
-	pages := db.dirtySorted()
+func (db *DB) commitWAL(t *sim.Task, pages []uint32) error {
 	if len(pages)*4+20 > db.cfg.PageSize {
 		return fmt.Errorf("sqlmini: transaction touches %d pages; header overflow", len(pages))
 	}
@@ -190,7 +179,7 @@ func (db *DB) checkpointWAL(t *sim.Task) error {
 	for p := range db.walMap {
 		pages = append(pages, p)
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 	for _, p := range pages {
 		if _, err := db.file.WriteAt(t, db.walMap[p], ps*int64(p)); err != nil {
 			return err
@@ -214,8 +203,7 @@ func (db *DB) checkpointWAL(t *sim.Task) error {
 
 // commitShare: stage once, fsync, remap. No journal, no second write, no
 // checkpoint debt; the SHARE command's delta page is the commit record.
-func (db *DB) commitShare(t *sim.Task) error {
-	pages := db.dirtySorted()
+func (db *DB) commitShare(t *sim.Task, pages []uint32) error {
 	if len(pages) > db.cfg.StagePages {
 		return fmt.Errorf("sqlmini: transaction touches %d pages > stage area %d",
 			len(pages), db.cfg.StagePages)
@@ -266,11 +254,7 @@ func (db *DB) commitPages(t *sim.Task) error {
 	if err := db.pool.FlushAll(t); err != nil {
 		return err
 	}
-	if err := db.file.Sync(t); err != nil {
-		return err
-	}
-	db.txnPages = make(map[uint32]bool)
-	return nil
+	return db.file.Sync(t)
 }
 
 // recoverMode runs the mode's crash-recovery protocol at open.
@@ -349,7 +333,7 @@ func (db *DB) replayGroups(t *sim.Task, f groupFile, apply func(pageNo uint32, i
 		if off+ps*int64(1+count) > f.Size() {
 			break
 		}
-		// Validate every image before applying any of this group.
+		// Validate every image before any of this group is applied.
 		imgs := make([][]byte, count)
 		valid := true
 		for i := 0; i < count; i++ {

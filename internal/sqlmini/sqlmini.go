@@ -112,8 +112,7 @@ type DB struct {
 	root uint32
 	hwm  uint32
 
-	txnPages map[uint32]bool
-	inTxn    bool
+	inTxn bool
 
 	walMap   map[uint32][]byte // newest WAL image per page (read overlay)
 	walPages int               // images in the WAL since last checkpoint
@@ -134,7 +133,7 @@ func Open(t *sim.Task, fs *fsim.FS, cfg Config) (*DB, error) {
 	if err := cfg.setDefaults(fs.Device().PageSize()); err != nil {
 		return nil, err
 	}
-	db := &DB{fs: fs, cfg: cfg, txnPages: make(map[uint32]bool), walMap: make(map[uint32][]byte)}
+	db := &DB{fs: fs, cfg: cfg, walMap: make(map[uint32][]byte)}
 	fresh := !fs.Exists(cfg.Name)
 	var err error
 	open := func(name string) (*fsim.File, error) {
@@ -167,20 +166,12 @@ func Open(t *sim.Task, fs *fsim.FS, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool.OnDirty = func(pageNo uint32) {
-		if db.inTxn {
-			db.txnPages[pageNo] = true
-		}
-	}
 	pool.MissOverlay = func(pageNo uint32) []byte {
 		if db.cfg.Mode == WAL {
 			return db.walMap[pageNo]
 		}
 		return nil
 	}
-	// Mid-transaction pages must not reach the file before the commit
-	// protocol says so (no-steal).
-	pool.Protected = func(pageNo uint32) bool { return db.inTxn && db.txnPages[pageNo] }
 	db.pool = pool
 
 	if fresh {
@@ -235,8 +226,6 @@ func (db *DB) initMeta(t *sim.Task) error {
 	btree.InitPage(r.Data)
 	r.MarkDirty()
 	r.Release()
-	db.inTxn = false
-	db.txnPages = map[uint32]bool{0: true, 1: true}
 	return nil
 }
 
@@ -294,12 +283,19 @@ func (p *pager) PageSize() int                         { return p.db.cfg.PageSiz
 // Update runs fn inside a read-write transaction and commits it durably
 // according to the configured mode. If fn returns an error the
 // transaction is discarded (in-memory pages are dropped and re-read).
+// Mid-transaction pages must not reach the file before the commit
+// protocol says so, so the transaction runs inside the pool's no-steal
+// dirty set until commit returns.
 func (db *DB) Update(t *sim.Task, fn func(tx *Tx) error) error {
 	if db.inTxn {
 		return fmt.Errorf("sqlmini: nested transaction")
 	}
 	db.inTxn = true
-	db.txnPages = make(map[uint32]bool)
+	db.pool.BeginTxn()
+	defer func() {
+		db.pool.EndTxn()
+		db.inTxn = false
+	}()
 	rootBefore := db.root
 	hwmBefore := db.hwm
 	tree := btree.Open(&pager{db: db}, db.root, func(newRoot uint32) {
@@ -311,7 +307,6 @@ func (db *DB) Update(t *sim.Task, fn func(tx *Tx) error) error {
 		db.pool.Drop()
 		db.root = rootBefore
 		db.hwm = hwmBefore
-		db.inTxn = false
 		if db.cfg.Mode == WAL {
 			// Dropped frames whose truth lives in the WAL re-load via the
 			// overlay; nothing else to do.
@@ -322,15 +317,12 @@ func (db *DB) Update(t *sim.Task, fn func(tx *Tx) error) error {
 	// Root/hwm may have moved: refresh the meta page inside the txn.
 	f, err := db.pool.Get(t, 0)
 	if err != nil {
-		db.inTxn = false
 		return err
 	}
 	db.renderMeta(f.Data)
 	f.MarkDirty()
 	f.Release()
-	err = db.commit(t)
-	db.inTxn = false
-	return err
+	return db.commit(t)
 }
 
 // Get reads a key outside any transaction.

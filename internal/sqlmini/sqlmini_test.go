@@ -164,7 +164,7 @@ func TestRollbackJournalRollsBackTornCommit(t *testing.T) {
 	// Manually run half a commit: journal + in-place writes, then "crash"
 	// before the journal truncate (the commit point).
 	db.inTxn = true
-	db.txnPages = make(map[uint32]bool)
+	db.pool.BeginTxn()
 	tree := newTreeForTest(db)
 	if err := tree.Put(task, []byte("acct"), []byte("balance=999")); err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestRollbackJournalRollsBackTornCommit(t *testing.T) {
 	db.renderMeta(f.Data)
 	f.MarkDirty()
 	f.Release()
-	pages := db.dirtySorted()
+	pages := db.pool.TxnPages(nil)
 	buf := make([]byte, db.cfg.PageSize)
 	ps := int64(db.cfg.PageSize)
 	if _, err := db.writeGroup(task, db.jrnl, 0, pages, func(p uint32) ([]byte, error) {

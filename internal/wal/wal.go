@@ -3,7 +3,8 @@
 // separate (fast, power-protected) SSD. The log is a byte stream of
 // length-prefixed records segmented into pages; records may span pages, so
 // engines can log full page images. Sync writes the buffered tail and
-// flushes the device — the group-commit unit.
+// flushes the device — the group-commit unit; GroupSync (group.go)
+// coalesces concurrent commits' syncs into one.
 //
 // Records are opaque byte slices to the log; the database engines define
 // their own record encodings and replay logic.
@@ -58,7 +59,8 @@ type Log struct {
 	bytes   atomic.Int64  // record payload bytes appended
 
 	readTruncations atomic.Int64 // ReadAll scans ended early by an unreadable page
-	lastReadErr     error        // device error that ended the last truncated scan (latch)
+
+	gc group // group-commit rendezvous (group.go)
 }
 
 // New creates an empty log over [start, start+pages) of dev.
@@ -200,10 +202,6 @@ func (l *Log) BytesAppended() int64 { return l.bytes.Load() }
 // page was unreadable (replay stopped at the last recoverable record).
 func (l *Log) ReadTruncations() int64 { return l.readTruncations.Load() }
 
-// LastReadError returns the device error that ended the most recent
-// truncated scan, or nil if every scan completed.
-func (l *Log) LastReadError() error { return l.lastReadErr }
-
 // ReadAll returns every complete record currently readable from the log
 // area in append order, for crash recovery. It scans pages in slot order
 // with increasing sequence numbers and reassembles the byte stream; a torn
@@ -212,8 +210,8 @@ func (l *Log) LastReadError() error { return l.lastReadErr }
 // An unreadable page — a device read fault the FTL's retry path could not
 // recover — also ends the scan rather than failing recovery outright: the
 // log is replayable up to the last readable record, exactly like a torn
-// tail, and the truncation is counted (ReadTruncations, LastReadError) so
-// the engine can report it. Records past the bad page are lost.
+// tail, and the truncation is counted (ReadTruncations) so the engine can
+// report it. Records past the bad page are lost.
 func (l *Log) ReadAll(t *sim.Task) ([][]byte, error) {
 	l.latch.Lock(t)
 	defer l.latch.Unlock(t)
@@ -223,7 +221,6 @@ func (l *Log) ReadAll(t *sim.Task) ([][]byte, error) {
 	for slot := uint32(0); slot < l.pages; slot++ {
 		if err := l.dev.ReadPage(t, l.start+slot, buf); err != nil {
 			l.readTruncations.Add(1)
-			l.lastReadErr = err
 			break
 		}
 		if binary.LittleEndian.Uint32(buf[0:]) != pageMagic {
